@@ -124,7 +124,7 @@ mod tests {
             s ^= s << 17;
             if i == j {
                 i64::MAX // ONE: staying put has no bottleneck
-            } else if s % 4 == 0 {
+            } else if s.is_multiple_of(4) {
                 i64::MIN // ZERO: no edge
             } else {
                 (s % 100) as i64
@@ -178,7 +178,7 @@ mod tests {
                 s ^= s << 13;
                 s ^= s >> 7;
                 s ^= s << 17;
-                i == j || s % 5 == 0
+                i == j || s.is_multiple_of(5)
             });
             let mut a = init.clone();
             igep_opt(&spec, &mut a, 4);

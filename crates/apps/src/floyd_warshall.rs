@@ -384,7 +384,7 @@ mod tests {
                 0.0
             } else {
                 s = s.wrapping_mul(6364136223846793005).wrapping_add(1);
-                if s % 4 == 0 {
+                if s.is_multiple_of(4) {
                     f64::INFINITY
                 } else {
                     ((s >> 33) % 100) as f64 / 10.0

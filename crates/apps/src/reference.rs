@@ -267,7 +267,7 @@ pub fn gfp_elim_reference(a: &Matrix<u64>, p: u64) -> Matrix<u64> {
     for k in 0..n {
         let w = m[(k, k)] as u128;
         assert!(
-            w % p128 != 0,
+            !w.is_multiple_of(p128),
             "GF(p) reference elimination hit a zero pivot"
         );
         let winv = pow_mod(w, p - 2);
@@ -323,7 +323,7 @@ mod tests {
                 s ^= s << 13;
                 s ^= s >> 7;
                 s ^= s << 17;
-                if s % 3 == 0 {
+                if s.is_multiple_of(3) {
                     <i64 as Weight>::INFINITY
                 } else {
                     (s % 20) as i64 + 1

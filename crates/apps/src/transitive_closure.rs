@@ -100,7 +100,7 @@ mod tests {
             s ^= s << 13;
             s ^= s >> 7;
             s ^= s << 17;
-            i == j || s % density_mod == 0
+            i == j || s.is_multiple_of(density_mod)
         })
     }
 

@@ -46,7 +46,7 @@ fn bench_apps(c: &mut Criterion) {
     let lu_in = dd_matrix(n, 1062);
     let fw_in = random_dist_matrix(n, 1063);
     let mut rng = XorShift(1064);
-    let tc_in = Matrix::from_fn(n, n, |i, j| i == j || rng.next_u64() % 8 == 0);
+    let tc_in = Matrix::from_fn(n, n, |i, j| i == j || rng.next_u64().is_multiple_of(8));
     let mm_a = rnd_matrix(n, 1065);
     let mm_b = rnd_matrix(n, 1066);
 

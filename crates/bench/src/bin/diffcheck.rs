@@ -25,7 +25,9 @@
 //! * `kernels [trials]` — the specialized-vs-generic kernel axis: random
 //!   instances of the five kernel-backed applications (GE, LU, FW, TC,
 //!   MM) run with each `gep-kernels` backend the host supports, compared
-//!   against the scalar generic base case (bitwise for `i64`/`bool`,
+//!   against the scalar generic base case (FW also on two negative-edge
+//!   variants that take the kernels' saturating fallback; bitwise for
+//!   `i64`/`bool`,
 //!   1e-9 for `f64`; the MM embed-vs-recursion bitwise invariant is
 //!   checked under every backend). Seeds print and replay exactly like
 //!   `fuzz` (`kernels --seed <u64>`). Passing `--engine-kernels` to
@@ -325,10 +327,31 @@ fn kernels_one(seed: u64, label: &str) -> bool {
     });
     let fw_run: &dyn Fn(&mut Matrix<i64>) =
         &|m| gep::core::igep_opt(&FwSpec::<i64>::new(), m, base);
-    let fw_want = run_with(Backend::Generic, &fw_init, fw_run);
-    for &backend in &simd {
-        if run_with(backend, &fw_init, fw_run) != fw_want {
-            report("fw", backend, "bitwise i64 mismatch".into());
+    // Two variants leave [0, TROPICAL_INF], so the kernels' saturating
+    // fallback runs: a potential reweighting `w + p(u) - p(v)` (negative
+    // edges, every cycle weight kept, so no negative cycle) and a single
+    // -1 edge (every other weight is >= 1), whose solve mixes fast-path
+    // and fallback leaves. The potential is derived from the seed, not
+    // drawn from `rng`, so the later instances of a seed are unchanged.
+    let pot: Vec<i64> = (0..n as u64)
+        .map(|i| (mix(seed ^ i) % 150) as i64)
+        .collect();
+    let reweighted = Matrix::from_fn(n, n, |i, j| match fw_init[(i, j)] {
+        w if w >= i64::MAX / 4 => w,
+        w => w + pot[i] - pot[j],
+    });
+    let mut one_negative = fw_init.clone();
+    one_negative[(n / 2, n / 4)] = -1;
+    for (app, init) in [
+        ("fw", &fw_init),
+        ("fw-reweighted", &reweighted),
+        ("fw-one-negative", &one_negative),
+    ] {
+        let want = run_with(Backend::Generic, init, fw_run);
+        for &backend in &simd {
+            if run_with(backend, init, fw_run) != want {
+                report(app, backend, "bitwise i64 mismatch".into());
+            }
         }
     }
 

@@ -147,7 +147,7 @@ pub fn algebras(sizes: &[usize], reps: usize) -> Vec<AlgebraRow> {
         let cap = Matrix::from_fn(n, n, |i, j| {
             if i == j {
                 i64::MAX
-            } else if rng.next() % 4 == 0 {
+            } else if rng.next().is_multiple_of(4) {
                 i64::MIN
             } else {
                 (rng.next() % 1000) as i64
@@ -170,7 +170,7 @@ pub fn algebras(sizes: &[usize], reps: usize) -> Vec<AlgebraRow> {
         );
 
         // (∨, ∧) closure — reachability.
-        let adj = Matrix::from_fn(n, n, |i, j| i == j || rng.next() % 8 == 0);
+        let adj = Matrix::from_fn(n, n, |i, j| i == j || rng.next().is_multiple_of(8));
         let (_, secs) = timed_best(reps, || {
             let mut c = adj.clone();
             igep_opt(&SemiringSpec::<OrAndBool>::new(), &mut c, 64);

@@ -50,7 +50,7 @@ impl CellStore<i64> for MultiCacheStore {
 pub fn distributed_run(n: usize, p: usize, m_bytes: u64, b_bytes: u64) -> (u64, Matrix<i64>) {
     let rp = (p as f64).sqrt().round() as usize;
     assert_eq!(rp * rp, p, "p must be a perfect square");
-    assert!(n % rp == 0 && (n / rp).is_power_of_two());
+    assert!(n.is_multiple_of(rp) && (n / rp).is_power_of_two());
     let spec = FwSpec::<i64>::new();
     let caches = Rc::new(RefCell::new(
         (0..p)

@@ -229,7 +229,7 @@ pub fn profile_report(n: usize, base: usize, avail: &Availability) -> ProfileOut
             continue;
         };
         let side = side as usize;
-        if side == 0 || n % side != 0 || !(n / side).is_power_of_two() {
+        if side == 0 || !n.is_multiple_of(side) || !(n / side).is_power_of_two() {
             attributable = false;
             continue;
         }

@@ -95,7 +95,7 @@ fn measure(app: &str, n: usize, base: usize, reps: usize) -> (f64, f64) {
         }
         "tc" => {
             let mut rng = XorShift(0x7C11 + n as u64);
-            let input = Matrix::from_fn(n, n, |i, j| i == j || rng.next_u64() % 8 == 0);
+            let input = Matrix::from_fn(n, n, |i, j| i == j || rng.next_u64().is_multiple_of(8));
             let ops = (n as f64).powi(3);
             let (_, s) = timed_best(reps, || {
                 let mut c = input.clone();

@@ -31,7 +31,7 @@ pub fn random_dist_matrix(n: usize, seed: u64) -> Matrix<i64> {
     Matrix::from_fn(n, n, |i, j| {
         if i == j {
             0
-        } else if rng.next_u64() % 3 == 0 {
+        } else if rng.next_u64().is_multiple_of(3) {
             <i64 as Weight>::INFINITY
         } else {
             (rng.next_u64() % 100) as i64 + 1

@@ -93,7 +93,7 @@ mod tests {
                 s ^= s << 13;
                 s ^= s >> 7;
                 s ^= s << 17;
-                if s % 4 == 0 {
+                if s.is_multiple_of(4) {
                     <i64 as Weight>::INFINITY
                 } else {
                     (s % 40) as i64 + 1
@@ -150,7 +150,7 @@ mod tests {
             s ^= s << 13;
             s ^= s >> 7;
             s ^= s << 17;
-            i == j || s % 5 == 0
+            i == j || s.is_multiple_of(5)
         });
         let mut oracle = input.clone();
         gep_iterative(&TransitiveClosureSpec, &mut oracle);

@@ -124,7 +124,7 @@ mod tests {
                 s ^= s << 13;
                 s ^= s >> 7;
                 s ^= s << 17;
-                if s % 5 == 0 {
+                if s.is_multiple_of(5) {
                     <i64 as Weight>::INFINITY
                 } else {
                     (s % 30) as i64 + 1

@@ -464,7 +464,7 @@ impl<const P: u64> GfP<P> {
         // Cheap compositeness guard for accidental small-factor moduli;
         // primality proper is the instantiator's contract.
         assert!(P == 2 || P % 2 == 1, "GfP modulus must be prime");
-        assert!(P <= 3 || P % 3 != 0, "GfP modulus must be prime");
+        assert!(P <= 3 || !P.is_multiple_of(3), "GfP modulus must be prime");
     };
 
     /// `t mod P` by Barrett reduction (`t < P²`, which `a·b` of two

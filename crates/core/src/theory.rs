@@ -41,7 +41,7 @@ pub fn is_aligned_interval(n: usize, a: usize, b: usize) -> bool {
         return false;
     }
     let len = b - a + 1;
-    len.is_power_of_two() && a % len == 0
+    len.is_power_of_two() && a.is_multiple_of(len)
 }
 
 /// `π(x, z)` as a *state index* (Definition 2.2(b), 0-based).

@@ -277,7 +277,7 @@ mod tests {
                     s ^= s << 13;
                     s ^= s >> 7;
                     s ^= s << 17;
-                    if s % keep_mod == 0 {
+                    if s.is_multiple_of(keep_mod) {
                         v.push((i, j, k));
                     }
                 }

@@ -100,7 +100,7 @@ impl<T: Copy + Default> SimDisk<T> {
     /// `size_of::<T>()`.
     pub fn new(block_bytes: u64, profile: DiskProfile) -> Self {
         let elem = std::mem::size_of::<T>() as u64;
-        assert!(block_bytes > 0 && elem > 0 && block_bytes % elem == 0);
+        assert!(block_bytes > 0 && elem > 0 && block_bytes.is_multiple_of(elem));
         Self {
             block_elems: (block_bytes / elem) as usize,
             block_bytes,

@@ -123,7 +123,7 @@ impl FaultState {
     pub fn on_read(&mut self) -> bool {
         self.reads += 1;
         let fail = match self.plan.read_fail_every {
-            Some(every) if !self.crashed => self.reads % every == 0,
+            Some(every) if !self.crashed => self.reads.is_multiple_of(every),
             _ => false,
         };
         if !fail {

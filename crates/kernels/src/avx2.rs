@@ -263,9 +263,223 @@ unsafe fn fw_f64_panel_inner(
     }
 }
 
+/// Scalar in-range min-plus cell (the edge path of the register tiles):
+/// `*c ← min(*c, TROPICAL_INF, a[k] + b[k·ldb] for every k)`.
+///
+/// # Safety
+/// `c`, `a[..kd]` and `b[k·ldb]` for `k < kd` are valid; every `a`/`b`
+/// value lies in `[0, TROPICAL_INF]`.
+#[inline(always)]
+pub(crate) unsafe fn fw_i64_cell(c: *mut i64, a: *const i64, b: *const i64, ldb: usize, kd: usize) {
+    let mut x = (*c).min(TROPICAL_INF);
+    for k in 0..kd {
+        x = x.min((*a.add(k)).wrapping_add(*b.add(k * ldb)));
+    }
+    *c = x;
+}
+
+/// The i64 Floyd–Warshall leaf of a vector backend, shared by the AVX2
+/// and AVX-512 modules: defines the vtable entry `pub unsafe fn fw_i64`.
+///
+/// When [`sweeps::fw_i64_in_range`] holds, a disjoint box runs the
+/// register tile `fw_i64_tile` and the aliasing shapes the plain
+/// [`sweeps::fw_i64_in_range_sweep`], both compiled for `$feature`;
+/// otherwise the leaf runs the saturating [`fw_i64_saturating`].
+///
+/// The tile computes `C ← min(C, A ⊗ B)` with 4 rows × 2 vectors of C in
+/// registers and k innermost, like [`mm_panel!`]; each C cell is clamped
+/// to `TROPICAL_INF` on load, after which every update is one add and
+/// one min. The `FW_KC × 2·LANES` strip of B a tile column reads is
+/// first copied to a contiguous stack buffer: in place, its rows sit one
+/// matrix row apart, which for power-of-two sides maps them all to the
+/// same L1 sets. Edges fall back to [`fw_i64_cell`]. The invoking
+/// module supplies the vector type through `LANES`, `FW_KC` and
+/// `vload`/`vstore`/`vsplat`/`vadd`/`vmin`.
+macro_rules! fw_i64_leaf {
+    ($feature:literal) => {
+        #[target_feature(enable = $feature)]
+        unsafe fn fw_i64_tile(
+            c: *mut i64,
+            ldc: usize,
+            a: *const i64,
+            lda: usize,
+            b: *const i64,
+            ldb: usize,
+            mi: usize,
+            nj: usize,
+            kd: usize,
+        ) {
+            let inf = vsplat(TROPICAL_INF);
+            let mut bp = [0i64; FW_KC * 2 * LANES];
+            let mut k0 = 0usize;
+            while k0 < kd {
+                let kc = (kd - k0).min(FW_KC);
+                let mut j = 0usize;
+                while j + 2 * LANES <= nj {
+                    for k in 0..kc {
+                        std::ptr::copy_nonoverlapping(
+                            b.add((k0 + k) * ldb + j),
+                            bp.as_mut_ptr().add(k * 2 * LANES),
+                            2 * LANES,
+                        );
+                    }
+                    let mut i = 0usize;
+                    while i + 4 <= mi {
+                        let r0 = c.add(i * ldc + j);
+                        let r1 = c.add((i + 1) * ldc + j);
+                        let r2 = c.add((i + 2) * ldc + j);
+                        let r3 = c.add((i + 3) * ldc + j);
+                        let a0 = a.add(i * lda + k0);
+                        let a1 = a.add((i + 1) * lda + k0);
+                        let a2 = a.add((i + 2) * lda + k0);
+                        let a3 = a.add((i + 3) * lda + k0);
+                        let mut c00 = vmin(vload(r0), inf);
+                        let mut c01 = vmin(vload(r0.add(LANES)), inf);
+                        let mut c10 = vmin(vload(r1), inf);
+                        let mut c11 = vmin(vload(r1.add(LANES)), inf);
+                        let mut c20 = vmin(vload(r2), inf);
+                        let mut c21 = vmin(vload(r2.add(LANES)), inf);
+                        let mut c30 = vmin(vload(r3), inf);
+                        let mut c31 = vmin(vload(r3.add(LANES)), inf);
+                        for k in 0..kc {
+                            let brow = bp.as_ptr().add(k * 2 * LANES);
+                            let bv0 = vload(brow);
+                            let bv1 = vload(brow.add(LANES));
+                            let u0 = vsplat(*a0.add(k));
+                            c00 = vmin(c00, vadd(u0, bv0));
+                            c01 = vmin(c01, vadd(u0, bv1));
+                            let u1 = vsplat(*a1.add(k));
+                            c10 = vmin(c10, vadd(u1, bv0));
+                            c11 = vmin(c11, vadd(u1, bv1));
+                            let u2 = vsplat(*a2.add(k));
+                            c20 = vmin(c20, vadd(u2, bv0));
+                            c21 = vmin(c21, vadd(u2, bv1));
+                            let u3 = vsplat(*a3.add(k));
+                            c30 = vmin(c30, vadd(u3, bv0));
+                            c31 = vmin(c31, vadd(u3, bv1));
+                        }
+                        vstore(r0, c00);
+                        vstore(r0.add(LANES), c01);
+                        vstore(r1, c10);
+                        vstore(r1.add(LANES), c11);
+                        vstore(r2, c20);
+                        vstore(r2.add(LANES), c21);
+                        vstore(r3, c30);
+                        vstore(r3.add(LANES), c31);
+                        i += 4;
+                    }
+                    while i < mi {
+                        for jj in j..j + 2 * LANES {
+                            $crate::avx2::fw_i64_cell(
+                                c.add(i * ldc + jj),
+                                a.add(i * lda + k0),
+                                b.add(k0 * ldb + jj),
+                                ldb,
+                                kc,
+                            );
+                        }
+                        i += 1;
+                    }
+                    j += 2 * LANES;
+                }
+                for i in 0..mi {
+                    for jj in j..nj {
+                        $crate::avx2::fw_i64_cell(
+                            c.add(i * ldc + jj),
+                            a.add(i * lda + k0),
+                            b.add(k0 * ldb + jj),
+                            ldb,
+                            kc,
+                        );
+                    }
+                }
+                k0 += kc;
+            }
+        }
+
+        #[target_feature(enable = $feature)]
+        unsafe fn fw_i64_tf(
+            m: GepMat<'_, i64>,
+            xr: usize,
+            xc: usize,
+            kk: usize,
+            s: usize,
+            shape: BoxShape,
+        ) {
+            if !sweeps::fw_i64_in_range(m, xr, xc, kk, s, shape) {
+                return $crate::avx2::fw_i64_saturating(m, xr, xc, kk, s, shape);
+            }
+            match shape {
+                BoxShape::Disjoint => {
+                    let ld = m.n();
+                    fw_i64_tile(
+                        m.row_ptr(xr).add(xc),
+                        ld,
+                        m.row_ptr(xr).add(kk),
+                        ld,
+                        m.row_ptr(kk).add(xc),
+                        ld,
+                        s,
+                        s,
+                        s,
+                    )
+                }
+                _ => sweeps::fw_i64_in_range_sweep(m, xr, xc, kk, s),
+            }
+        }
+
+        pub unsafe fn fw_i64(
+            m: GepMat<'_, i64>,
+            xr: usize,
+            xc: usize,
+            kk: usize,
+            s: usize,
+            shape: BoxShape,
+        ) {
+            fw_i64_tf(m, xr, xc, kk, s, shape)
+        }
+    };
+}
+
+const LANES: usize = 4;
+const FW_KC: usize = 64;
+
+#[inline]
+#[target_feature(enable = "avx2")]
+unsafe fn vload(p: *const i64) -> __m256i {
+    _mm256_loadu_si256(p as *const __m256i)
+}
+
+#[inline]
+#[target_feature(enable = "avx2")]
+unsafe fn vstore(p: *mut i64, v: __m256i) {
+    _mm256_storeu_si256(p as *mut __m256i, v)
+}
+
+#[inline]
+#[target_feature(enable = "avx2")]
+unsafe fn vsplat(x: i64) -> __m256i {
+    _mm256_set1_epi64x(x)
+}
+
+#[inline]
+#[target_feature(enable = "avx2")]
+unsafe fn vadd(a: __m256i, b: __m256i) -> __m256i {
+    _mm256_add_epi64(a, b)
+}
+
+/// AVX2 has no `vpminsq`: compare, then blend.
+#[inline]
+#[target_feature(enable = "avx2")]
+unsafe fn vmin(a: __m256i, b: __m256i) -> __m256i {
+    _mm256_blendv_epi8(a, b, _mm256_cmpgt_epi64(a, b))
+}
+
+fw_i64_leaf!("avx2");
+
 /// i64 min-plus panel with the exact [`MinPlusI64::mul`] semantics of the
-/// scalar path: `u ⊗ v` saturates instead of wrapping and is absorbing at
-/// [`TROPICAL_INF`] — a plain `_mm256_add_epi64` would let two
+/// scalar path, for disjoint boxes that fail the in-range test: `u ⊗ v`
+/// saturates instead of wrapping and is absorbing at [`TROPICAL_INF`] — a plain `_mm256_add_epi64` would let two
 /// near-sentinel weights wrap negative and "win" every relaxation.
 #[target_feature(enable = "avx2")]
 unsafe fn fw_i64_panel_inner(
@@ -497,7 +711,10 @@ pub unsafe fn fw_f64(
     }
 }
 
-pub unsafe fn fw_i64(
+/// The saturating i64 Floyd–Warshall leaf: exact for any input, used
+/// when [`sweeps::fw_i64_in_range`] fails (negative weights, cells
+/// above `TROPICAL_INF`).
+pub(crate) unsafe fn fw_i64_saturating(
     m: GepMat<'_, i64>,
     xr: usize,
     xc: usize,

@@ -5,7 +5,7 @@
 //! kernels for the concrete applications in `gep-apps` — the f64 trailing
 //! matrix-multiplication update `C ← C − A·B` (shared by Gaussian
 //! elimination and LU), the min-plus Floyd–Warshall inner loop (`f64` and
-//! `i64`), and the boolean and-or transitive-closure kernel — in three
+//! `i64`), and the boolean and-or transitive-closure kernel — in four
 //! backends:
 //!
 //! * [`Backend::Portable`] — shared, auto-vectorizable Rust sweeps;
@@ -14,8 +14,11 @@
 //!   baseline, no runtime feature check needed).
 //! * [`Backend::Avx2`] — explicit 256-bit AVX2 + FMA kernels, selected
 //!   only when `is_x86_feature_detected!` confirms host support.
+//! * [`Backend::Avx512`] — the AVX2 set with an AVX-512F i64
+//!   Floyd–Warshall kernel (`vpminsq`), selected only when
+//!   `is_x86_feature_detected!` confirms `avx512f`, `avx2` and `fma`.
 //!
-//! [`Backend::Generic`] is the fourth choice: no kernel set at all
+//! [`Backend::Generic`] is the fifth choice: no kernel set at all
 //! ([`dispatch`] returns `None`), telling the caller to use its own
 //! scalar kernel — the pre-existing behaviour, kept available for
 //! differential testing.
@@ -27,7 +30,12 @@
 //! whole call, so the f64 kernels run packed, k-innermost micro-tile
 //! panels (where ~all the FLOPs of a full-Σ run live). The aliased shapes
 //! (`Diagonal`, `RowPanel`, `ColPanel`) run k-outermost sweeps that
-//! reproduce the generic kernel's aliasing refreshes exactly. See
+//! reproduce the generic kernel's aliasing refreshes exactly.
+//!
+//! The i64 Floyd–Warshall leaves first test, with one OR-reduction, that
+//! every cell they read lies in `[0, TROPICAL_INF]`; there the saturating
+//! tropical `⊗` equals a plain add, so the leaf runs an add + min fast
+//! path, and it runs the saturating code otherwise. See
 //! `docs/KERNELS.md` for the taxonomy and the per-application safety
 //! argument.
 //!
@@ -38,7 +46,7 @@
 //!
 //! 1. a programmatic override ([`set_backend_override`]), else
 //! 2. the `GEP_KERNELS` environment variable (`generic` / `portable` /
-//!    `sse2` / `avx2`), else
+//!    `sse2` / `avx2` / `avx512`), else
 //! 3. a backend pinned by the ambient tuning profile
 //!    (`$GEP_TUNING` or `./tuning.json`, written by `repro tune`), else
 //! 4. the best backend the host supports ([`detect_best`]).
@@ -48,7 +56,10 @@
 //! iterative kernel bump `kernels.fallback` (see `gep-core`).
 
 #[cfg(target_arch = "x86_64")]
+#[macro_use]
 mod avx2;
+#[cfg(target_arch = "x86_64")]
+mod avx512;
 #[cfg(target_arch = "x86_64")]
 mod sse2;
 mod sweeps;
@@ -73,15 +84,17 @@ pub enum Backend {
     Portable = 1,
     Sse2 = 2,
     Avx2 = 3,
+    Avx512 = 4,
 }
 
 impl Backend {
     /// All backends, in increasing order of specialization.
-    pub const ALL: [Backend; 4] = [
+    pub const ALL: [Backend; 5] = [
         Backend::Generic,
         Backend::Portable,
         Backend::Sse2,
         Backend::Avx2,
+        Backend::Avx512,
     ];
 
     /// Stable lowercase name (used by `GEP_KERNELS`, tuning profiles and
@@ -92,18 +105,15 @@ impl Backend {
             Backend::Portable => "portable",
             Backend::Sse2 => "sse2",
             Backend::Avx2 => "avx2",
+            Backend::Avx512 => "avx512",
         }
     }
 
     /// Inverse of [`Backend::name`] (case-insensitive).
     pub fn from_name(name: &str) -> Option<Backend> {
-        match name.to_ascii_lowercase().as_str() {
-            "generic" => Some(Backend::Generic),
-            "portable" => Some(Backend::Portable),
-            "sse2" => Some(Backend::Sse2),
-            "avx2" => Some(Backend::Avx2),
-            _ => None,
-        }
+        Backend::ALL
+            .into_iter()
+            .find(|b| b.name().eq_ignore_ascii_case(name))
     }
 
     /// Can this backend run on the current host?
@@ -116,6 +126,11 @@ impl Backend {
             Backend::Avx2 => {
                 std::arch::is_x86_feature_detected!("avx2")
                     && std::arch::is_x86_feature_detected!("fma")
+            }
+            // Reuses every AVX2 entry but `i64_fw`.
+            #[cfg(target_arch = "x86_64")]
+            Backend::Avx512 => {
+                Backend::Avx2.is_supported() && std::arch::is_x86_feature_detected!("avx512f")
             }
             #[cfg(not(target_arch = "x86_64"))]
             _ => false,
@@ -131,6 +146,7 @@ impl Backend {
             Backend::Portable => "kernels.dispatch.portable",
             Backend::Sse2 => "kernels.dispatch.sse2",
             Backend::Avx2 => "kernels.dispatch.avx2",
+            Backend::Avx512 => "kernels.dispatch.avx512",
         }
     }
 }
@@ -148,7 +164,9 @@ pub fn available_backends() -> Vec<Backend> {
 pub fn detect_best() -> Backend {
     #[cfg(target_arch = "x86_64")]
     {
-        if Backend::Avx2.is_supported() {
+        if Backend::Avx512.is_supported() {
+            Backend::Avx512
+        } else if Backend::Avx2.is_supported() {
             Backend::Avx2
         } else {
             Backend::Sse2
@@ -194,7 +212,9 @@ pub struct KernelSet {
     pub f64_fw: ShapedKernel<f64>,
     /// Floyd–Warshall min-plus over full `Σ`, exact i64 weights
     /// (saturating, sentinel-absorbing `⊗` — see
-    /// [`gep_core::algebra::MinPlusI64`]).
+    /// [`gep_core::algebra::MinPlusI64`]). Every backend runs an add + min
+    /// fast path on leaves whose cells all lie in `[0, TROPICAL_INF]`
+    /// and the saturating code on the rest.
     pub i64_fw: ShapedKernel<i64>,
     /// Bottleneck max-min closure over full `Σ`, i64 capacities.
     ///
@@ -245,9 +265,9 @@ mod portable {
         xc: usize,
         kk: usize,
         s: usize,
-        _: BoxShape,
+        shape: BoxShape,
     ) {
-        sweeps::fw_sweep::<i64>(m, xr, xc, kk, s)
+        sweeps::fw_i64_sweep(m, xr, xc, kk, s, shape)
     }
     pub unsafe fn tc(m: GepMat<'_, bool>, xr: usize, xc: usize, kk: usize, s: usize, _: BoxShape) {
         sweeps::tc_sweep(m, xr, xc, kk, s)
@@ -343,6 +363,13 @@ static AVX2_SET: KernelSet = KernelSet {
     f64_mm_sub: avx2::mm_sub,
 };
 
+#[cfg(target_arch = "x86_64")]
+static AVX512_SET: KernelSet = KernelSet {
+    backend: Backend::Avx512,
+    i64_fw: avx512::fw_i64,
+    ..AVX2_SET
+};
+
 /// The kernel set of a specific backend, or `None` for
 /// [`Backend::Generic`].
 ///
@@ -361,6 +388,14 @@ pub fn kernel_set(backend: Backend) -> Option<&'static KernelSet> {
                 Some(&AVX2_SET)
             } else {
                 Some(&SSE2_SET)
+            }
+        }
+        #[cfg(target_arch = "x86_64")]
+        Backend::Avx512 => {
+            if Backend::Avx512.is_supported() {
+                Some(&AVX512_SET)
+            } else {
+                kernel_set(Backend::Avx2)
             }
         }
         #[cfg(not(target_arch = "x86_64"))]
@@ -383,13 +418,8 @@ pub fn set_backend_override(backend: Option<Backend>) {
 }
 
 fn backend_override() -> Option<Backend> {
-    match OVERRIDE.load(Ordering::SeqCst) {
-        0 => Some(Backend::Generic),
-        1 => Some(Backend::Portable),
-        2 => Some(Backend::Sse2),
-        3 => Some(Backend::Avx2),
-        _ => None,
-    }
+    let v = OVERRIDE.load(Ordering::SeqCst);
+    Backend::ALL.into_iter().find(|&b| b as u8 == v)
 }
 
 fn env_backend() -> Option<Backend> {
@@ -407,9 +437,10 @@ fn env_backend() -> Option<Backend> {
             None
         }
         None => {
+            let names: Vec<&str> = Backend::ALL.iter().map(|b| b.name()).collect();
             eprintln!(
-                "warning: GEP_KERNELS={v:?} not recognized \
-                 (generic/portable/sse2/avx2); auto-detecting"
+                "warning: GEP_KERNELS={v:?} not recognized ({}); auto-detecting",
+                names.join("/")
             );
             None
         }
@@ -681,7 +712,7 @@ mod tests {
 
     fn bool_matrix(n: usize, seed: u64) -> Matrix<bool> {
         let mut s = seed;
-        Matrix::from_fn(n, n, |i, j| i == j || lcg(&mut s) % 4 == 0)
+        Matrix::from_fn(n, n, |i, j| i == j || lcg(&mut s).is_multiple_of(4))
     }
 
     /// Capacities in `[0, 1000)` with `ONE` on the diagonal and a sprinkle
@@ -691,7 +722,7 @@ mod tests {
         Matrix::from_fn(n, n, |i, j| {
             if i == j {
                 i64::MAX
-            } else if lcg(&mut s) % 8 == 0 {
+            } else if lcg(&mut s).is_multiple_of(8) {
                 i64::MIN
             } else {
                 (lcg(&mut s) % 1000) as i64
@@ -943,6 +974,84 @@ mod tests {
                         "fw i64 sentinel {} s={s} {shape:?}",
                         set.backend.name()
                     );
+                }
+            }
+        }
+    }
+
+    /// Sides around the 4-row, 8-column (AVX2) and 16-column (AVX-512)
+    /// register tiles, so every tile remainder and scalar edge runs; 65
+    /// also splits the tiles' k loop and exceeds the packed sweep's limit.
+    const FW_SIDES: [usize; 13] = [1, 3, 4, 7, 8, 9, 15, 16, 17, 24, 33, 64, 65];
+
+    /// The i64 Floyd–Warshall leaf in each of its regimes, on every
+    /// backend and shape, bitwise against the generic kernel:
+    /// * in range, with `∞` rows, columns and cells — the fast path;
+    /// * `X` cells above `∞` or negative next to in-range panels — clamp
+    ///   on load in the disjoint tile, the saturating fallback elsewhere;
+    /// * one negative cell in `U`, `V` or `X` — the saturating fallback
+    ///   wherever the leaf reads that cell as an operand.
+    #[test]
+    fn fw_i64_fast_path_and_fallback_match_generic() {
+        use gep_core::algebra::TROPICAL_INF as INF;
+        let wild = [INF + 1, i64::MAX, -7, i64::MIN, 2 * INF + 5];
+        for set in specialized_sets() {
+            let name = set.backend.name();
+            for &s in &FW_SIDES {
+                let n = 2 * s;
+                let mut seed = 0xFA57 ^ s as u64;
+                let in_range = Matrix::from_fn(n, n, |i, j| {
+                    let r = lcg(&mut seed);
+                    if i == j {
+                        0
+                    } else if i % s == s / 2 || j % s == s.div_ceil(2) || r.is_multiple_of(5) {
+                        INF
+                    } else {
+                        (r % 100) as i64 + 1
+                    }
+                });
+                for (xr, xc, kk, shape) in shapes(s) {
+                    let disjoint = shape == BoxShape::Disjoint;
+                    let mut cases = vec![("in-range", in_range.clone(), true)];
+                    let mut wild_x = in_range.clone();
+                    for (c, (i, j)) in (xr..xr + s)
+                        .flat_map(|i| (xc..xc + s).map(move |j| (i, j)))
+                        .enumerate()
+                        .filter(|(c, _)| c % 3 == 0)
+                    {
+                        wild_x[(i, j)] = wild[c % wild.len()];
+                    }
+                    cases.push(("wild X", wild_x, disjoint));
+                    for (panel, (r0, c0)) in [("U", (xr, kk)), ("V", (kk, xc)), ("X", (xr, xc))] {
+                        let mut m = in_range.clone();
+                        m[(r0 + s / 2, c0 + s / 3)] = -3;
+                        // A disjoint leaf never reads X as an operand.
+                        cases.push((panel, m, disjoint && panel == "X"));
+                    }
+                    for (what, init, fast) in cases {
+                        let ctx = format!("fw i64 {what} {name} s={s} {shape:?}");
+                        let mut want = init.clone();
+                        let mut got = init.clone();
+                        // SAFETY: each handle exclusively borrows its own
+                        // matrix, and the box and its panels lie inside it.
+                        unsafe {
+                            assert_eq!(
+                                sweeps::fw_i64_in_range(
+                                    GepMat::new(&mut got),
+                                    xr,
+                                    xc,
+                                    kk,
+                                    s,
+                                    shape
+                                ),
+                                fast,
+                                "{ctx}: in-range test"
+                            );
+                            generic_kernel(&FwRefI64, GepMat::new(&mut want), xr, xc, kk, s);
+                            (set.i64_fw)(GepMat::new(&mut got), xr, xc, kk, s, shape);
+                        }
+                        assert_eq!(got, want, "{ctx}");
+                    }
                 }
             }
         }

@@ -9,7 +9,8 @@
 //! within the backend.
 //!
 //! SSE2 has no 64-bit integer compare (`pcmpgtq` is SSE4.2), so the i64
-//! Floyd–Warshall entry routes every shape to the shared portable sweep.
+//! Floyd–Warshall entry routes every shape to the shared portable sweeps
+//! (the in-range fast path, or the saturating sweep).
 //!
 //! Non-disjoint shapes use the shared sweeps at baseline width.
 
@@ -349,10 +350,10 @@ pub unsafe fn fw_i64(
     xc: usize,
     kk: usize,
     s: usize,
-    _shape: BoxShape,
+    shape: BoxShape,
 ) {
-    // No 64-bit SIMD compare at SSE2 level: portable sweep on every shape.
-    sweeps::fw_sweep::<i64>(m, xr, xc, kk, s)
+    // No 64-bit SIMD compare at SSE2 level: portable sweeps on every shape.
+    sweeps::fw_i64_sweep(m, xr, xc, kk, s, shape)
 }
 
 pub unsafe fn tc(m: GepMat<'_, bool>, xr: usize, xc: usize, kk: usize, s: usize, shape: BoxShape) {

@@ -14,8 +14,8 @@
 //! generic kernel's refresh points even when the box overlaps its own
 //! `U`/`V`/`W` panels.
 
-use gep_core::algebra::{Gf2Block, MinPlusI64, UpdateAlgebra};
-use gep_core::GepMat;
+use gep_core::algebra::{Gf2Block, MinPlusI64, UpdateAlgebra, TROPICAL_INF};
+use gep_core::{BoxShape, GepMat};
 
 /// Min-plus element: the two operations Floyd–Warshall needs, written so
 /// the same body serves `i64` (exact) and `f64` (IEEE).
@@ -148,6 +148,156 @@ pub(crate) unsafe fn fw_sweep<T: MinPlusElem>(
                 }
             }
         }
+    }
+}
+
+// `TROPICAL_INF + 1` is a power of two, so a cell lies in
+// `[0, TROPICAL_INF]` exactly when it has no bit above `TROPICAL_INF`'s
+// set — sign bit included. One OR over a block then decides the whole
+// block.
+const _: () = assert!(TROPICAL_INF & (TROPICAL_INF + 1) == 0);
+
+/// `true` when every cell of the `s × s` block at `(r0, c0)` lies in
+/// `[0, TROPICAL_INF]`.
+///
+/// # Safety
+/// The block is in bounds and nobody writes it concurrently.
+#[inline(always)]
+unsafe fn i64_block_in_range(m: GepMat<'_, i64>, r0: usize, c0: usize, s: usize) -> bool {
+    let mut acc = 0i64;
+    for i in r0..r0 + s {
+        let row = std::slice::from_raw_parts(m.row_ptr(i).add(c0), s);
+        acc |= row.iter().fold(0, |a, &x| a | x);
+    }
+    acc & !TROPICAL_INF == 0
+}
+
+/// Does every cell an i64 Floyd–Warshall leaf reads lie in
+/// `[0, TROPICAL_INF]`? That is the precondition of the exact fast paths
+/// ([`fw_i64_in_range_sweep`] and the backends' disjoint tiles):
+///
+/// * `u + v` cannot overflow (`2·TROPICAL_INF < i64::MAX`), and a sum
+///   with an `∞` operand is already `≥ TROPICAL_INF`, so
+///   `MinPlusI64::mul(u, v) == min(u + v, TROPICAL_INF)`;
+/// * every candidate is `≤ TROPICAL_INF`, so clamping an `X` cell to
+///   `TROPICAL_INF` once and then taking `min(x, u + v)` per step gives
+///   exactly the saturating, absorbing result (a box has `s ≥ 1` steps);
+/// * on the aliasing shapes values stay in range, and `c[k,k] ≥ 0` makes
+///   row `k` and column `k` fixed points of step `k`, so the plain
+///   `k`-outer sweep needs no aliasing refresh.
+///
+/// On [`BoxShape::Disjoint`] only `U` and `V` are checked — `X` is never
+/// read as an operand there, and the fast paths clamp it on load. On the
+/// aliasing shapes `X` coincides with one panel and is checked with the
+/// other one (`U ≡ W` for a row panel, `V ≡ W` for a column panel).
+///
+/// # Safety
+/// Standard base-case contract (see [`ge_sweep`]).
+#[inline(always)]
+pub(crate) unsafe fn fw_i64_in_range(
+    m: GepMat<'_, i64>,
+    xr: usize,
+    xc: usize,
+    kk: usize,
+    s: usize,
+    shape: BoxShape,
+) -> bool {
+    let x = || i64_block_in_range(m, xr, xc, s);
+    let u = || i64_block_in_range(m, xr, kk, s);
+    let v = || i64_block_in_range(m, kk, xc, s);
+    match shape {
+        BoxShape::Diagonal => x(),
+        BoxShape::RowPanel => x() && u(),
+        BoxShape::ColPanel => x() && v(),
+        BoxShape::Disjoint => u() && v(),
+    }
+}
+
+/// Largest side [`fw_i64_in_range_sweep`] packs into stack buffers (two
+/// `PACK × PACK` i64 blocks, 64 KiB); larger boxes take the saturating
+/// [`fw_sweep`].
+const PACK: usize = 64;
+
+/// i64 Floyd–Warshall in-range fast path on any box shape: one add and
+/// one `min` per update, `k` outermost.
+///
+/// The box is packed into contiguous stack buffers first:
+/// `X` (clamped to `TROPICAL_INF`, see [`fw_i64_in_range`]) and, unless
+/// `X ≡ U`, `U` transposed, so the sweep reads column `k` of `U` as one
+/// contiguous run. In a matrix whose row stride is a large power of two,
+/// the unpacked rows of a box all map to the same few L1 sets.
+///
+/// Row `k` and column `k` are fixed points of step `k`, so the sweep
+/// needs no aliasing refresh and `u` can be hoisted per row.
+///
+/// # Safety
+/// Standard base-case contract, and [`fw_i64_in_range`] holds for the
+/// box's shape.
+#[inline(always)]
+pub(crate) unsafe fn fw_i64_in_range_sweep(
+    m: GepMat<'_, i64>,
+    xr: usize,
+    xc: usize,
+    kk: usize,
+    s: usize,
+) {
+    if s > PACK {
+        return fw_sweep::<i64>(m, xr, xc, kk, s);
+    }
+    let (x_is_u, x_is_v) = (xc == kk, xr == kk);
+    let mut xb = [0i64; PACK * PACK];
+    let mut ub = [0i64; PACK * PACK];
+    for i in 0..s {
+        let src = std::slice::from_raw_parts(m.row_ptr(xr + i).add(xc), s);
+        for (d, &x) in xb[i * s..(i + 1) * s].iter_mut().zip(src) {
+            *d = x.min(TROPICAL_INF);
+        }
+        if !x_is_u {
+            for k in 0..s {
+                ub[k * s + i] = m.get(xr + i, kk + k);
+            }
+        }
+    }
+    let mut vrow = [0i64; PACK];
+    for k in 0..s {
+        vrow[..s].copy_from_slice(if x_is_v {
+            &xb[k * s..(k + 1) * s]
+        } else {
+            std::slice::from_raw_parts(m.row_ptr(kk + k).add(xc), s)
+        });
+        for i in 0..s {
+            let u = if x_is_u { xb[i * s + k] } else { ub[k * s + i] };
+            for (x, &v) in xb[i * s..(i + 1) * s].iter_mut().zip(&vrow[..s]) {
+                // In range: u + v ≤ 2·TROPICAL_INF cannot overflow.
+                *x = (*x).min(u.wrapping_add(v));
+            }
+        }
+    }
+    for i in 0..s {
+        std::slice::from_raw_parts_mut(m.row_ptr(xr + i).add(xc), s)
+            .copy_from_slice(&xb[i * s..(i + 1) * s]);
+    }
+}
+
+/// i64 Floyd–Warshall leaf for the backends without a register tile:
+/// the in-range fast path when [`fw_i64_in_range`] holds, else the
+/// saturating [`fw_sweep`].
+///
+/// # Safety
+/// Standard base-case contract (see [`ge_sweep`]).
+#[inline(always)]
+pub(crate) unsafe fn fw_i64_sweep(
+    m: GepMat<'_, i64>,
+    xr: usize,
+    xc: usize,
+    kk: usize,
+    s: usize,
+    shape: BoxShape,
+) {
+    if fw_i64_in_range(m, xr, xc, kk, s, shape) {
+        fw_i64_in_range_sweep(m, xr, xc, kk, s)
+    } else {
+        fw_sweep::<i64>(m, xr, xc, kk, s)
     }
 }
 

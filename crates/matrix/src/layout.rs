@@ -57,7 +57,7 @@ pub struct MortonTiled {
 impl Layout for MortonTiled {
     #[inline]
     fn index(&self, n: usize, i: usize, j: usize) -> usize {
-        debug_assert!(self.tile.is_power_of_two() && n % self.tile == 0);
+        debug_assert!(self.tile.is_power_of_two() && n.is_multiple_of(self.tile));
         let b = self.tile;
         let z = interleave((i / b) as u32, (j / b) as u32) as usize;
         z * b * b + (i % b) * b + (j % b)

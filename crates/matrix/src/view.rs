@@ -81,7 +81,7 @@ impl<'a, T> MatView<'a, T> {
     /// `[top-left, top-right, bottom-left, bottom-right]`.
     pub fn quadrants(&self) -> [MatView<'a, T>; 4] {
         assert_eq!(self.rows, self.cols, "quadrants need a square view");
-        assert!(self.rows % 2 == 0, "quadrants need an even side");
+        assert!(self.rows.is_multiple_of(2), "quadrants need an even side");
         let h = self.rows / 2;
         [
             self.window(0, 0, h, h),
@@ -266,7 +266,7 @@ impl<'a, T> MatViewMut<'a, T> {
     /// scopes (they inherit lifetime `'a`).
     pub fn split_quadrants(self) -> [MatViewMut<'a, T>; 4] {
         assert_eq!(self.rows, self.cols, "quadrants need a square view");
-        assert!(self.rows % 2 == 0, "quadrants need an even side");
+        assert!(self.rows.is_multiple_of(2), "quadrants need an even side");
         let h = self.rows / 2;
         let q = |top: usize, left: usize| MatViewMut {
             // SAFETY: offsets stay inside the window; the four quadrants'
@@ -284,7 +284,7 @@ impl<'a, T> MatViewMut<'a, T> {
     /// Splits into four disjoint mutable quadrants borrowed from `self`.
     pub fn quadrants_mut(&mut self) -> [MatViewMut<'_, T>; 4] {
         assert_eq!(self.rows, self.cols, "quadrants need a square view");
-        assert!(self.rows % 2 == 0, "quadrants need an even side");
+        assert!(self.rows.is_multiple_of(2), "quadrants need an even side");
         let h = self.rows / 2;
         let q = |top: usize, left: usize| MatViewMut {
             // SAFETY: see `split_quadrants`.

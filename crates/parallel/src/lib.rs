@@ -178,7 +178,7 @@ mod tests {
                 s ^= s << 13;
                 s ^= s >> 7;
                 s ^= s << 17;
-                if s % 4 == 0 {
+                if s.is_multiple_of(4) {
                     <i64 as Weight>::INFINITY
                 } else {
                     (s % 100) as i64 + 1
@@ -266,7 +266,7 @@ mod tests {
             s ^= s << 13;
             s ^= s >> 7;
             s ^= s << 17;
-            i == j || s % 6 == 0
+            i == j || s.is_multiple_of(6)
         });
         let mut g = init.clone();
         gep_iterative(&TransitiveClosureSpec, &mut g);

@@ -47,7 +47,7 @@ pub fn random_graph(n: usize, seed: u64) -> Matrix<i64> {
     Matrix::from_fn(n, n, |i, j| {
         if i == j {
             0
-        } else if rng.next_u64() % 3 == 0 {
+        } else if rng.next_u64().is_multiple_of(3) {
             <i64 as Weight>::INFINITY
         } else {
             (rng.next_u64() % 100) as i64 + 1
@@ -69,7 +69,7 @@ pub fn random_mutations(n: usize, count: usize, seed: u64) -> Vec<EdgeMut> {
             if v == u {
                 v = (v + 1) % n as u32;
             }
-            let w = if rng.next_u64() % 8 == 0 {
+            let w = if rng.next_u64().is_multiple_of(8) {
                 TROPICAL_INF
             } else {
                 (rng.next_u64() % 100) as i64 + 1

@@ -115,7 +115,7 @@ fn max_min_engines_match_reference() {
         let init = Matrix::from_fn(n, n, |i, j| {
             if i == j {
                 i64::MAX
-            } else if rand64(&mut s) % 4 == 0 {
+            } else if rand64(&mut s).is_multiple_of(4) {
                 i64::MIN
             } else {
                 (rand64(&mut s) % 1000) as i64
@@ -132,7 +132,7 @@ fn max_min_engines_match_reference() {
 fn or_and_engines_match_reference() {
     for n in [4usize, 8, 16, 32] {
         let mut s = 0x0AB_u64 + n as u64;
-        let init = Matrix::from_fn(n, n, |i, j| i == j || rand64(&mut s) % 4 == 0);
+        let init = Matrix::from_fn(n, n, |i, j| i == j || rand64(&mut s).is_multiple_of(4));
         let oracle = tc_reference(&init);
         for base in [1usize, 4] {
             assert_closure_engines::<OrAndBool>(&init, &oracle, base);
@@ -265,8 +265,8 @@ fn embed_vs_recursion_holds_per_algebra() {
         let mut s = 0xE4B + n as u64;
         let ai = Matrix::from_fn(n, n, |_, _| (rand64(&mut s) % 200) as i64);
         let bi = Matrix::from_fn(n, n, |_, _| (rand64(&mut s) % 200) as i64);
-        let ab = Matrix::from_fn(n, n, |_, _| rand64(&mut s) % 3 == 0);
-        let bb = Matrix::from_fn(n, n, |_, _| rand64(&mut s) % 3 == 0);
+        let ab = Matrix::from_fn(n, n, |_, _| rand64(&mut s).is_multiple_of(3));
+        let bb = Matrix::from_fn(n, n, |_, _| rand64(&mut s).is_multiple_of(3));
         let ag = Matrix::from_fn(n, n, |_, _| {
             Gf2Block(std::array::from_fn(|_| rand64(&mut s)))
         });

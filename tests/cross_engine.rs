@@ -72,7 +72,7 @@ fn floyd_warshall_all_engines() {
         let input = Matrix::from_fn(n, n, |i, j| {
             if i == j {
                 0i64
-            } else if rng() % 5 == 0 {
+            } else if rng().is_multiple_of(5) {
                 i64::MAX / 4
             } else {
                 (rng() % 90) as i64 + 1
@@ -86,7 +86,7 @@ fn floyd_warshall_all_engines() {
 fn transitive_closure_all_engines() {
     for n in [2usize, 8, 32] {
         let mut rng = xorshift(n as u64 * 77);
-        let input = Matrix::from_fn(n, n, |i, j| i == j || rng() % 4 == 0);
+        let input = Matrix::from_fn(n, n, |i, j| i == j || rng().is_multiple_of(4));
         check_all_engines(&TransitiveClosureSpec, &input, &format!("TC n={n}"));
     }
 }
@@ -232,7 +232,7 @@ fn arbitrary_closure_instance() -> (
     let mut rng = xorshift(0xC0FFEE);
     let sigma: Vec<_> = (0..n)
         .flat_map(|i| (0..n).flat_map(move |j| (0..n).map(move |k| (i, j, k))))
-        .filter(|_| rng() % 3 == 0)
+        .filter(|_| rng().is_multiple_of(3))
         .collect();
     let spec = ClosureSpec::new(
         |i, j, k, x: i64, u, v, w| {
@@ -261,7 +261,7 @@ fn verify_harness_all_engines_i64() {
     let fw_init = Matrix::from_fn(n, n, |i, j| {
         if i == j {
             0i64
-        } else if rng() % 5 == 0 {
+        } else if rng().is_multiple_of(5) {
             i64::MAX / 4
         } else {
             (rng() % 90) as i64 + 1

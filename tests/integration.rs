@@ -20,7 +20,7 @@ fn fw_input(n: usize, seed: u64) -> Matrix<i64> {
             s ^= s << 13;
             s ^= s >> 7;
             s ^= s << 17;
-            if s % 4 == 0 {
+            if s.is_multiple_of(4) {
                 <i64 as Weight>::INFINITY
             } else {
                 (s % 60) as i64 + 1

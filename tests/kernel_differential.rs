@@ -63,7 +63,7 @@ fn dist_i64(n: usize, seed: u64) -> Matrix<i64> {
     Matrix::from_fn(n, n, |i, j| {
         if i == j {
             0
-        } else if rng() % 4 == 0 {
+        } else if rng().is_multiple_of(4) {
             i64::MAX / 4
         } else {
             (rng() % 100) as i64 + 1
@@ -71,12 +71,36 @@ fn dist_i64(n: usize, seed: u64) -> Matrix<i64> {
     })
 }
 
+/// [`dist_i64`] reweighted by a potential, `w + p(u) − p(v)`: negative
+/// edges, but every cycle keeps its (positive) weight, so no negative
+/// cycle. Its leaves fail the kernels' in-range test.
+fn reweighted_i64(n: usize, seed: u64) -> Matrix<i64> {
+    let d = dist_i64(n, seed);
+    let mut rng = xorshift(seed ^ 0x9E37_79B9);
+    let p: Vec<i64> = (0..n).map(|_| (rng() % 150) as i64).collect();
+    Matrix::from_fn(n, n, |i, j| match d[(i, j)] {
+        w if w >= i64::MAX / 4 => w,
+        w => w + p[i] - p[j],
+    })
+}
+
+/// [`dist_i64`] with one edge of weight −1. Every other weight is ≥ 1, so
+/// no cycle is negative; only the leaves that read that cell take the
+/// kernels' saturating fallback, the rest the in-range fast path.
+fn one_negative_i64(n: usize, seed: u64) -> Matrix<i64> {
+    let mut m = dist_i64(n, seed);
+    if n >= 2 {
+        m[(n / 2, n / 4)] = -1;
+    }
+    m
+}
+
 fn dist_f64(n: usize, seed: u64) -> Matrix<f64> {
     let mut rng = xorshift(seed);
     Matrix::from_fn(n, n, |i, j| {
         if i == j {
             0.0
-        } else if rng() % 4 == 0 {
+        } else if rng().is_multiple_of(4) {
             f64::INFINITY
         } else {
             (rng() % 1000) as f64 / 10.0 + 1.0
@@ -86,7 +110,7 @@ fn dist_f64(n: usize, seed: u64) -> Matrix<f64> {
 
 fn adj_bool(n: usize, seed: u64) -> Matrix<bool> {
     let mut rng = xorshift(seed);
-    Matrix::from_fn(n, n, |i, j| i == j || rng() % 4 == 0)
+    Matrix::from_fn(n, n, |i, j| i == j || rng().is_multiple_of(4))
 }
 
 /// Runs `igep_opt` on a clone of `init` with `backend` forced. The caller
@@ -177,6 +201,30 @@ fn floyd_warshall_i64_bitwise_every_backend() {
             for base in BASES {
                 let got = igep_with(&FwSpec::<i64>::new(), &init, base, backend);
                 assert_eq!(got, oracle, "FW i64 {} n={n} base={base}", backend.name());
+            }
+        }
+    }
+}
+
+#[test]
+fn floyd_warshall_i64_negative_edges_bitwise_every_backend() {
+    let _g = lock();
+    for n in SIDES {
+        for (what, init) in [
+            ("reweighted", reweighted_i64(n, 0xE5 + n as u64)),
+            ("one negative edge", one_negative_i64(n, 0xF6 + n as u64)),
+        ] {
+            for base in BASES {
+                let want = igep_with(&FwSpec::<i64>::new(), &init, base, Backend::Generic);
+                for backend in backends_under_test() {
+                    let got = igep_with(&FwSpec::<i64>::new(), &init, base, backend);
+                    assert_eq!(
+                        got,
+                        want,
+                        "FW i64 {what} {} n={n} base={base}",
+                        backend.name()
+                    );
+                }
             }
         }
     }

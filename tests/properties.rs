@@ -83,7 +83,7 @@ proptest! {
         let input = Matrix::from_fn(n, n, |i, j| {
             if i == j { 0i64 } else {
                 s ^= s << 13; s ^= s >> 7; s ^= s << 17;
-                if s % 4 == 0 { <i64 as Weight>::INFINITY } else { (s % 50) as i64 + 1 }
+                if s.is_multiple_of(4) { <i64 as Weight>::INFINITY } else { (s % 50) as i64 + 1 }
             }
         });
         let mut g = input.clone();
@@ -201,7 +201,7 @@ proptest! {
         let dist = Matrix::from_fn(n, n, |i, j| {
             if i == j { 0i64 } else {
                 s ^= s << 13; s ^= s >> 7; s ^= s << 17;
-                if s % 3 == 0 { <i64 as Weight>::INFINITY } else { (s % 40) as i64 + 1 }
+                if s.is_multiple_of(3) { <i64 as Weight>::INFINITY } else { (s % 40) as i64 + 1 }
             }
         });
         let init = Matrix::from_fn(n, n, |i, j| {
