@@ -19,9 +19,15 @@
 //! tuple `(xr, xc, kk, s)` — the row origin, column origin, `k`-origin and
 //! side — over a single shared matrix handle [`GepMat`].
 //!
-//! The engine is generic over a [`Joiner`], so the *same* code is the
-//! optimised sequential I-GEP of Section 4.2 (with [`Serial`]) and the
-//! multithreaded I-GEP of Section 3 (with `gep-parallel`'s rayon joiner).
+//! [`fn_a`]..[`fn_d`] are the one copy of the Figure 6 skeleton in the
+//! workspace. They are generic over a [`Joiner`], so the *same* code is
+//! the optimised sequential I-GEP of Section 4.2 (with [`Serial`]) and the
+//! multithreaded I-GEP of Section 3 (with `gep-parallel`'s rayon joiner),
+//! and over an [`AbcdLeaf`] — the base case — so the same code is also the
+//! multithreaded C-GEP of Section 3 (`gep-parallel::cgep_par` passes a
+//! leaf that reads and saves the Figure 3 snapshots). The skeleton owns
+//! pruning, the `abcd.{a,b,c,d}.calls` counters and the `A`/`B`/`C`/`D`
+//! spans; the leaf owns everything inside a base-case box.
 //!
 //! The paper's Fig. 5 distinguishes `B₁/B₂`, `C₁/C₂`, `D₁..D₄` by which
 //! pass they arise in; their *bodies* are identical, so the subscripts are
@@ -29,6 +35,7 @@
 //! `gep-parallel::span`).
 
 use crate::gepmat::GepMat;
+use crate::igep::Cube;
 use crate::joiner::{Joiner, Serial};
 use crate::spec::{BoxShape, GepSpec};
 use gep_matrix::Matrix;
@@ -59,16 +66,85 @@ where
     S: GepSpec + Sync,
     J: Joiner,
 {
-    let n = c.n();
-    if n == 0 {
-        return; // Σ ⊆ [0,0)³ is empty — match gep_iterative's no-op.
+    let Some(root) = Cube::root(c.n(), base_size) else {
+        return;
+    };
+    let leaf = KernelLeaf {
+        spec,
+        m: GepMat::new(c),
+    };
+    // SAFETY: `leaf.m` exclusively borrows `c`, and the kernel leaf touches
+    // only its box and panels; `fn_a` upholds the Figure 6 disjoint-writes
+    // discipline (see `gepmat` module docs).
+    unsafe {
+        let x = Abcd {
+            joiner,
+            spec,
+            leaf: &leaf,
+            base: base_size,
+        };
+        fn_a(&x, 0, 0, 0, root.s)
     }
-    assert!(n.is_power_of_two(), "I-GEP needs a power-of-two side");
-    assert!(base_size >= 1);
-    let m = GepMat::new(c);
-    // SAFETY: `m` exclusively borrows `c`; `fn_a` upholds the Figure 6
-    // disjoint-writes discipline (see `gepmat` module docs).
-    unsafe { fn_a(joiner, spec, m, 0, 0, 0, n, base_size) }
+}
+
+/// A Figure 6 base case: what the A/B/C/D skeleton runs on every
+/// non-pruned box of side `<= base`. The optimised I-GEP passes the
+/// spec's (specialized) kernel; parallel C-GEP passes its snapshot
+/// kernel.
+pub trait AbcdLeaf: Sync {
+    /// Runs the base case on the box
+    /// `i ∈ [xr, xr+s) × j ∈ [xc, xc+s) × k ∈ [kk, kk+s)`, whose Figure 13
+    /// classification is `shape`.
+    ///
+    /// # Safety
+    /// The caller guarantees exclusive access to every cell the leaf
+    /// writes and stability of every cell it reads, per the Figure 6
+    /// dependency argument (see [`crate::gepmat`]). Implementations must
+    /// write only the box's own cells and read only the box and its
+    /// `U`/`V`/`W` panels.
+    unsafe fn leaf(&self, xr: usize, xc: usize, kk: usize, s: usize, shape: BoxShape);
+}
+
+/// The I-GEP base case: [`GepSpec::kernel_shaped`] on one matrix, timed
+/// into the leaf-latency histograms when a recorder is installed.
+struct KernelLeaf<'a, S: GepSpec> {
+    spec: &'a S,
+    m: GepMat<'a, S::Elem>,
+}
+
+impl<S: GepSpec + Sync> AbcdLeaf for KernelLeaf<'_, S> {
+    /// Executes one base-case kernel, timing it into the `kernel.leaf_ns`
+    /// histogram plus a per-shape one (`kernel.leaf.{a,b,c,d}_ns`) when a
+    /// recorder is installed. The disabled path takes no clock readings at
+    /// all — just the one relaxed load of [`gep_obs::enabled`].
+    #[inline]
+    unsafe fn leaf(&self, xr: usize, xc: usize, kk: usize, s: usize, shape: BoxShape) {
+        let spec = self.spec;
+        if !gep_obs::enabled() {
+            spec.kernel_shaped(self.m, xr, xc, kk, s, shape);
+            return;
+        }
+        // The Σ-count scan is O(s³), hence the `enabled` gate above.
+        let cube = Cube {
+            i0: xr,
+            j0: xc,
+            k0: kk,
+            s,
+        };
+        gep_obs::counter_add("abcd.base_cases", 1);
+        gep_obs::counter_add("abcd.updates", cube.sigma_count(spec));
+        let start = std::time::Instant::now();
+        spec.kernel_shaped(self.m, xr, xc, kk, s, shape);
+        let ns = start.elapsed().as_nanos() as u64;
+        gep_obs::hist_record("kernel.leaf_ns", ns);
+        let per_shape = match shape {
+            BoxShape::Diagonal => "kernel.leaf.a_ns",
+            BoxShape::RowPanel => "kernel.leaf.b_ns",
+            BoxShape::ColPanel => "kernel.leaf.c_ns",
+            BoxShape::Disjoint => "kernel.leaf.d_ns",
+        };
+        gep_obs::hist_record(per_shape, ns);
+    }
 }
 
 /// Generic iterative base-case kernel: iterative GEP restricted to the box
@@ -113,62 +189,57 @@ pub unsafe fn generic_kernel<S>(
     }
 }
 
-#[inline]
-fn pruned<S: GepSpec>(spec: &S, xr: usize, xc: usize, kk: usize, s: usize) -> bool {
-    !spec.sigma_intersects((xr, xr + s - 1), (xc, xc + s - 1), (kk, kk + s - 1))
+/// One A/B/C/D execution: the joiner that runs Figure 6's `parallel:`
+/// groups, the spec (for `T ∩ Σ = ∅` pruning), the base case and its
+/// size. The one copy of the Figure 6 skeleton, [`fn_a`]..[`fn_d`], is
+/// generic over all three.
+pub struct Abcd<'a, S, J, L> {
+    /// Runs the `parallel:` groups.
+    pub joiner: &'a J,
+    /// Decides `T ∩ Σ = ∅` pruning.
+    pub spec: &'a S,
+    /// The base case.
+    pub leaf: &'a L,
+    /// Largest box side handed to `leaf` (the §4.2 base size).
+    pub base: usize,
 }
 
-/// Observability accounting for one base-case kernel invocation. The
-/// Σ-count scan is O(s³), hence the [`gep_obs::enabled`] gate.
-#[inline]
-fn record_base_case<S: GepSpec>(spec: &S, xr: usize, xc: usize, kk: usize, s: usize) {
-    if gep_obs::enabled() {
-        gep_obs::counter_add("abcd.base_cases", 1);
-        gep_obs::counter_add(
-            "abcd.updates",
-            crate::iterative::sigma_count_box(
-                spec,
-                (xr, xr + s - 1),
-                (xc, xc + s - 1),
-                (kk, kk + s - 1),
-            ),
-        );
+impl<S, J, L> Abcd<'_, S, J, L>
+where
+    S: GepSpec + Sync,
+    J: Joiner,
+    L: AbcdLeaf,
+{
+    /// Figure 6's shared prologue: prune (`T ∩ Σ = ∅` returns `None`),
+    /// bump the kind's call counter, and open its span.
+    #[inline]
+    fn enter(
+        &self,
+        kind: &'static str,
+        calls: &'static str,
+        xr: usize,
+        xc: usize,
+        kk: usize,
+        s: usize,
+    ) -> Option<gep_obs::SpanGuard> {
+        let cube = Cube {
+            i0: xr,
+            j0: xc,
+            k0: kk,
+            s,
+        };
+        if !cube.meets_sigma(self.spec) {
+            return None;
+        }
+        gep_obs::counter_add(calls, 1);
+        Some(
+            gep_obs::span(kind, "abcd")
+                .arg("xr", xr as i64)
+                .arg("xc", xc as i64)
+                .arg("kk", kk as i64)
+                .arg("s", s as i64),
+        )
     }
-}
-
-/// Executes one base-case kernel, timing it into the `kernel.leaf_ns`
-/// histogram plus a per-shape one (`kernel.leaf.{a,b,c,d}_ns`) when a
-/// recorder is installed. The disabled path takes no clock readings at
-/// all — just the one relaxed load of [`gep_obs::enabled`].
-///
-/// # Safety
-/// Same contract as [`GepSpec::kernel_shaped`] / [`generic_kernel`].
-#[inline]
-unsafe fn leaf_kernel<S: GepSpec>(
-    spec: &S,
-    m: GepMat<'_, S::Elem>,
-    xr: usize,
-    xc: usize,
-    kk: usize,
-    s: usize,
-    shape: BoxShape,
-) {
-    if !gep_obs::enabled() {
-        spec.kernel_shaped(m, xr, xc, kk, s, shape);
-        return;
-    }
-    record_base_case(spec, xr, xc, kk, s);
-    let start = std::time::Instant::now();
-    spec.kernel_shaped(m, xr, xc, kk, s, shape);
-    let ns = start.elapsed().as_nanos() as u64;
-    gep_obs::hist_record("kernel.leaf_ns", ns);
-    let per_shape = match shape {
-        BoxShape::Diagonal => "kernel.leaf.a_ns",
-        BoxShape::RowPanel => "kernel.leaf.b_ns",
-        BoxShape::ColPanel => "kernel.leaf.c_ns",
-        BoxShape::Disjoint => "kernel.leaf.d_ns",
-    };
-    gep_obs::hist_record(per_shape, ns);
 }
 
 /// `A` — all of `X`, `U`, `V`, `W` coincide (`xr == xc == kk`).
@@ -176,52 +247,38 @@ unsafe fn leaf_kernel<S: GepSpec>(
 /// # Safety
 /// Caller guarantees exclusive access to the subsquare at `(xr, xc)` of
 /// side `s` (which here covers the panels too).
-#[allow(clippy::too_many_arguments)]
-pub unsafe fn fn_a<S, J>(
-    joiner: &J,
-    spec: &S,
-    m: GepMat<'_, S::Elem>,
-    xr: usize,
-    xc: usize,
-    kk: usize,
-    s: usize,
-    base: usize,
-) where
+pub unsafe fn fn_a<S, J, L>(x: &Abcd<'_, S, J, L>, xr: usize, xc: usize, kk: usize, s: usize)
+where
     S: GepSpec + Sync,
     J: Joiner,
+    L: AbcdLeaf,
 {
     debug_assert!(xr == kk && xc == kk);
-    if pruned(spec, xr, xc, kk, s) {
+    let Some(_span) = x.enter("A", "abcd.a.calls", xr, xc, kk, s) else {
         return;
-    }
-    gep_obs::counter_add("abcd.a.calls", 1);
-    let _span = gep_obs::span("A", "abcd")
-        .arg("xr", xr as i64)
-        .arg("xc", xc as i64)
-        .arg("kk", kk as i64)
-        .arg("s", s as i64);
-    if s <= base {
-        leaf_kernel(spec, m, xr, xc, kk, s, BoxShape::Diagonal);
+    };
+    if s <= x.base {
+        x.leaf.leaf(xr, xc, kk, s, BoxShape::Diagonal);
         return;
     }
     let h = s / 2;
     // Forward pass (k in first half).
-    fn_a(joiner, spec, m, xr, xc, kk, h, base);
-    joiner.join(
+    fn_a(x, xr, xc, kk, h);
+    x.joiner.join(
         // SAFETY: B writes X12 (rows xr.., cols xc+h..) and C writes X21
         // (rows xr+h.., cols xc..): disjoint; both only read X11/W11,
         // which neither writes.
-        || fn_b(joiner, spec, m, xr, xc + h, kk, h, base),
-        || fn_c(joiner, spec, m, xr + h, xc, kk, h, base),
+        || fn_b(x, xr, xc + h, kk, h),
+        || fn_c(x, xr + h, xc, kk, h),
     );
-    fn_d(joiner, spec, m, xr + h, xc + h, kk, h, base);
+    fn_d(x, xr + h, xc + h, kk, h);
     // Backward pass (k in second half).
-    fn_a(joiner, spec, m, xr + h, xc + h, kk + h, h, base);
-    joiner.join(
-        || fn_b(joiner, spec, m, xr + h, xc, kk + h, h, base),
-        || fn_c(joiner, spec, m, xr, xc + h, kk + h, h, base),
+    fn_a(x, xr + h, xc + h, kk + h, h);
+    x.joiner.join(
+        || fn_b(x, xr + h, xc, kk + h, h),
+        || fn_c(x, xr, xc + h, kk + h, h),
     );
-    fn_d(joiner, spec, m, xr, xc, kk + h, h, base);
+    fn_d(x, xr, xc, kk + h, h);
 }
 
 /// `B` — `I = K` (row range equals pivot range), `J` disjoint: `X ≡ V`,
@@ -230,56 +287,40 @@ pub unsafe fn fn_a<S, J>(
 /// # Safety
 /// As [`fn_a`]; caller guarantees exclusivity of `X` and read-stability of
 /// the pivot block.
-#[allow(clippy::too_many_arguments)]
-pub unsafe fn fn_b<S, J>(
-    joiner: &J,
-    spec: &S,
-    m: GepMat<'_, S::Elem>,
-    xr: usize,
-    xc: usize,
-    kk: usize,
-    s: usize,
-    base: usize,
-) where
+pub unsafe fn fn_b<S, J, L>(x: &Abcd<'_, S, J, L>, xr: usize, xc: usize, kk: usize, s: usize)
+where
     S: GepSpec + Sync,
     J: Joiner,
+    L: AbcdLeaf,
 {
     debug_assert!(xr == kk);
-    if pruned(spec, xr, xc, kk, s) {
+    let Some(_span) = x.enter("B", "abcd.b.calls", xr, xc, kk, s) else {
         return;
-    }
-    gep_obs::counter_add("abcd.b.calls", 1);
-    let _span = gep_obs::span("B", "abcd")
-        .arg("xr", xr as i64)
-        .arg("xc", xc as i64)
-        .arg("kk", kk as i64)
-        .arg("s", s as i64);
-    if s <= base {
-        leaf_kernel(spec, m, xr, xc, kk, s, BoxShape::RowPanel);
+    };
+    if s <= x.base {
+        x.leaf.leaf(xr, xc, kk, s, BoxShape::RowPanel);
         return;
     }
     let h = s / 2;
     // Forward: the two B-children write X11, X12 (disjoint columns) and
     // read only the pivot block U11 = W11 outside X.
-    joiner.join(
-        || fn_b(joiner, spec, m, xr, xc, kk, h, base),
-        || fn_b(joiner, spec, m, xr, xc + h, kk, h, base),
-    );
+    x.joiner
+        .join(|| fn_b(x, xr, xc, kk, h), || fn_b(x, xr, xc + h, kk, h));
     // The D-children write X21, X22 and read V11 = X11 / V12 = X12
     // (finished above) and U21 = c[rows xr+h.., cols kk..kk+h] = W21
     // region outside X.
-    joiner.join(
-        || fn_d(joiner, spec, m, xr + h, xc, kk, h, base),
-        || fn_d(joiner, spec, m, xr + h, xc + h, kk, h, base),
+    x.joiner.join(
+        || fn_d(x, xr + h, xc, kk, h),
+        || fn_d(x, xr + h, xc + h, kk, h),
     );
     // Backward: k in second half; bottom row of quadrants first.
-    joiner.join(
-        || fn_b(joiner, spec, m, xr + h, xc, kk + h, h, base),
-        || fn_b(joiner, spec, m, xr + h, xc + h, kk + h, h, base),
+    x.joiner.join(
+        || fn_b(x, xr + h, xc, kk + h, h),
+        || fn_b(x, xr + h, xc + h, kk + h, h),
     );
-    joiner.join(
-        || fn_d(joiner, spec, m, xr, xc, kk + h, h, base),
-        || fn_d(joiner, spec, m, xr, xc + h, kk + h, h, base),
+    x.joiner.join(
+        || fn_d(x, xr, xc, kk + h, h),
+        || fn_d(x, xr, xc + h, kk + h, h),
     );
 }
 
@@ -288,50 +329,34 @@ pub unsafe fn fn_b<S, J>(
 ///
 /// # Safety
 /// As [`fn_b`].
-#[allow(clippy::too_many_arguments)]
-pub unsafe fn fn_c<S, J>(
-    joiner: &J,
-    spec: &S,
-    m: GepMat<'_, S::Elem>,
-    xr: usize,
-    xc: usize,
-    kk: usize,
-    s: usize,
-    base: usize,
-) where
+pub unsafe fn fn_c<S, J, L>(x: &Abcd<'_, S, J, L>, xr: usize, xc: usize, kk: usize, s: usize)
+where
     S: GepSpec + Sync,
     J: Joiner,
+    L: AbcdLeaf,
 {
     debug_assert!(xc == kk);
-    if pruned(spec, xr, xc, kk, s) {
+    let Some(_span) = x.enter("C", "abcd.c.calls", xr, xc, kk, s) else {
         return;
-    }
-    gep_obs::counter_add("abcd.c.calls", 1);
-    let _span = gep_obs::span("C", "abcd")
-        .arg("xr", xr as i64)
-        .arg("xc", xc as i64)
-        .arg("kk", kk as i64)
-        .arg("s", s as i64);
-    if s <= base {
-        leaf_kernel(spec, m, xr, xc, kk, s, BoxShape::ColPanel);
+    };
+    if s <= x.base {
+        x.leaf.leaf(xr, xc, kk, s, BoxShape::ColPanel);
         return;
     }
     let h = s / 2;
-    joiner.join(
-        || fn_c(joiner, spec, m, xr, xc, kk, h, base),
-        || fn_c(joiner, spec, m, xr + h, xc, kk, h, base),
+    x.joiner
+        .join(|| fn_c(x, xr, xc, kk, h), || fn_c(x, xr + h, xc, kk, h));
+    x.joiner.join(
+        || fn_d(x, xr, xc + h, kk, h),
+        || fn_d(x, xr + h, xc + h, kk, h),
     );
-    joiner.join(
-        || fn_d(joiner, spec, m, xr, xc + h, kk, h, base),
-        || fn_d(joiner, spec, m, xr + h, xc + h, kk, h, base),
+    x.joiner.join(
+        || fn_c(x, xr, xc + h, kk + h, h),
+        || fn_c(x, xr + h, xc + h, kk + h, h),
     );
-    joiner.join(
-        || fn_c(joiner, spec, m, xr, xc + h, kk + h, h, base),
-        || fn_c(joiner, spec, m, xr + h, xc + h, kk + h, h, base),
-    );
-    joiner.join(
-        || fn_d(joiner, spec, m, xr, xc, kk + h, h, base),
-        || fn_d(joiner, spec, m, xr + h, xc, kk + h, h, base),
+    x.joiner.join(
+        || fn_d(x, xr, xc, kk + h, h),
+        || fn_d(x, xr + h, xc, kk + h, h),
     );
 }
 
@@ -341,47 +366,33 @@ pub unsafe fn fn_c<S, J>(
 ///
 /// # Safety
 /// As [`fn_b`].
-#[allow(clippy::too_many_arguments)]
-pub unsafe fn fn_d<S, J>(
-    joiner: &J,
-    spec: &S,
-    m: GepMat<'_, S::Elem>,
-    xr: usize,
-    xc: usize,
-    kk: usize,
-    s: usize,
-    base: usize,
-) where
+pub unsafe fn fn_d<S, J, L>(x: &Abcd<'_, S, J, L>, xr: usize, xc: usize, kk: usize, s: usize)
+where
     S: GepSpec + Sync,
     J: Joiner,
+    L: AbcdLeaf,
 {
-    if pruned(spec, xr, xc, kk, s) {
+    let Some(_span) = x.enter("D", "abcd.d.calls", xr, xc, kk, s) else {
         return;
-    }
-    gep_obs::counter_add("abcd.d.calls", 1);
-    let _span = gep_obs::span("D", "abcd")
-        .arg("xr", xr as i64)
-        .arg("xc", xc as i64)
-        .arg("kk", kk as i64)
-        .arg("s", s as i64);
-    if s <= base {
-        leaf_kernel(spec, m, xr, xc, kk, s, BoxShape::Disjoint);
+    };
+    if s <= x.base {
+        x.leaf.leaf(xr, xc, kk, s, BoxShape::Disjoint);
         return;
     }
     let h = s / 2;
     // All four children write disjoint X-quadrants and read panels outside
     // X entirely.
-    joiner.join4(
-        || fn_d(joiner, spec, m, xr, xc, kk, h, base),
-        || fn_d(joiner, spec, m, xr, xc + h, kk, h, base),
-        || fn_d(joiner, spec, m, xr + h, xc, kk, h, base),
-        || fn_d(joiner, spec, m, xr + h, xc + h, kk, h, base),
+    x.joiner.join4(
+        || fn_d(x, xr, xc, kk, h),
+        || fn_d(x, xr, xc + h, kk, h),
+        || fn_d(x, xr + h, xc, kk, h),
+        || fn_d(x, xr + h, xc + h, kk, h),
     );
-    joiner.join4(
-        || fn_d(joiner, spec, m, xr, xc, kk + h, h, base),
-        || fn_d(joiner, spec, m, xr, xc + h, kk + h, h, base),
-        || fn_d(joiner, spec, m, xr + h, xc, kk + h, h, base),
-        || fn_d(joiner, spec, m, xr + h, xc + h, kk + h, h, base),
+    x.joiner.join4(
+        || fn_d(x, xr, xc, kk + h, h),
+        || fn_d(x, xr, xc + h, kk + h, h),
+        || fn_d(x, xr + h, xc, kk + h, h),
+        || fn_d(x, xr + h, xc + h, kk + h, h),
     );
 }
 
@@ -546,29 +557,6 @@ mod tests {
             }
         }
         walk(Kind::A, 0, 0, 0, 32);
-    }
-
-    /// Every base case lands one sample in `kernel.leaf_ns` and exactly
-    /// one of the per-shape histograms. (The only gep-core test touching
-    /// the process-global recorder, so it cannot race a sibling.)
-    #[test]
-    fn leaf_latency_histograms_cover_every_base_case() {
-        gep_obs::install(gep_obs::Recorder::counters_only());
-        let mut c = random_dist(16, 3);
-        igep_opt(&MinPlus, &mut c, 2);
-        let rec = gep_obs::take().expect("recorder installed above");
-        let base_cases = rec.counter("abcd.base_cases");
-        assert_eq!(base_cases, 512); // 8^3 leaves for n=16, base=2
-        let h = rec.hist("kernel.leaf_ns").expect("leaf histogram present");
-        assert_eq!(h.count(), base_cases);
-        let per_shape: u64 = ["a", "b", "c", "d"]
-            .iter()
-            .map(|s| {
-                rec.hist(&format!("kernel.leaf.{s}_ns"))
-                    .map_or(0, |h| h.count())
-            })
-            .sum();
-        assert_eq!(per_shape, base_cases);
     }
 
     #[test]

@@ -23,9 +23,34 @@
 //! see the initial value, as required. Extra space: 4n² cells; time and
 //! I/O bounds are those of I-GEP.
 
+use crate::igep::{walk, Cube, NodeObs};
 use crate::spec::GepSpec;
 use crate::store::CellStore;
 use gep_matrix::Matrix;
+use std::ops::ControlFlow;
+
+/// Figure 3's read rule for update `⟨i, j, k⟩`: whether its `u`, `v` and
+/// `w` operands read the "1" snapshot (`u1[i,k]`, `v1[k,j]`, `u1[k,k]`)
+/// rather than the "0" one (`u0`, `v0`, `u0`) — the Iverson brackets
+/// `[j > k]`, `[i > k]` and `[(i > k) ∨ (i = k ∧ j > k)]`.
+///
+/// The one copy of the rule: every C-GEP engine (sequential, reduced-space
+/// and parallel) selects its snapshots through it.
+#[inline]
+pub fn snapshot_reads(i: usize, j: usize, k: usize) -> [bool; 3] {
+    [j > k, i > k, i > k || (i == k && j > k)]
+}
+
+/// Figure 3's save rule (lines 5–8) for update `⟨i, j, k⟩` of an `n × n`
+/// problem: which of `[u0, u1, v0, v1]` must capture the value it writes
+/// to `c[i,j]` — those whose limit `j−1`, `j`, `i−1`, `i` has
+/// `τᵢⱼ(limit) = k`.
+#[inline]
+pub fn snapshot_saves<S: GepSpec>(spec: &S, n: usize, i: usize, j: usize, k: usize) -> [bool; 4] {
+    let at = |limit: i64| spec.tau(n, i, j, limit) == Some(k);
+    let (i, j) = (i as i64, j as i64);
+    [at(j - 1), at(j), at(i - 1), at(i)]
+}
 
 /// Runs C-GEP (Figure 3) on `c`, allocating the four snapshot matrices
 /// internally (in-core convenience wrapper over [`cgep_full_with`]).
@@ -55,6 +80,9 @@ where
 /// algorithm, and the bulk copy is visible to simulating stores. Pass
 /// `false` if the stores already hold a copy of `c`.
 ///
+/// `H` follows `F`'s schedule exactly, so this is a leaf visitor over the
+/// Figure 2 walker [`crate::igep::walk`]; only the base case differs.
+///
 /// # Panics
 /// Panics on size mismatch or non-power-of-two side.
 #[allow(clippy::too_many_arguments)]
@@ -72,11 +100,9 @@ pub fn cgep_full_with<S, St>(
     St: CellStore<S::Elem>,
 {
     let n = c.n();
-    if n == 0 {
-        return; // Σ ⊆ [0,0)³ is empty — match gep_iterative's no-op.
-    }
-    assert!(n.is_power_of_two(), "C-GEP needs a power-of-two side");
-    assert!(base_size >= 1);
+    let Some(root) = Cube::root(n, base_size) else {
+        return;
+    };
     assert!(u0.n() == n && u1.n() == n && v0.n() == n && v1.n() == n);
     if init_aux {
         u0.copy_from_store(c);
@@ -84,126 +110,50 @@ pub fn cgep_full_with<S, St>(
         v0.copy_from_store(c);
         v1.copy_from_store(c);
     }
-    let mut env = Env {
-        spec,
-        n,
-        base: base_size,
+    let obs = NodeObs {
+        calls: "cgep.calls",
+        span: "H",
+        cat: "cgep",
     };
-    env.h_rec(c, u0, u1, v0, v1, 0, 0, 0, n);
-}
-
-struct Env<'s, S> {
-    spec: &'s S,
-    n: usize,
-    base: usize,
-}
-
-impl<S: GepSpec> Env<'_, S> {
-    /// Applies one update `⟨i,j,k⟩` with snapshot reads and saves
-    /// (lines 2–8 of Figure 3, 0-based).
-    #[allow(clippy::too_many_arguments)]
-    #[inline]
-    fn apply<St: CellStore<S::Elem> + ?Sized>(
-        &mut self,
-        c: &mut St,
-        u0: &mut St,
-        u1: &mut St,
-        v0: &mut St,
-        v1: &mut St,
-        i: usize,
-        j: usize,
-        k: usize,
-    ) {
-        let x = c.read(i, j);
-        let u = if j > k { u1.read(i, k) } else { u0.read(i, k) };
-        let v = if i > k { v1.read(k, j) } else { v0.read(k, j) };
-        let w = if i > k || (i == k && j > k) {
-            u1.read(k, k)
-        } else {
-            u0.read(k, k)
-        };
-        let nv = self.spec.update(i, j, k, x, u, v, w);
-        c.write(i, j, nv);
-        // Snapshot saves (τ tests of lines 5–8).
-        let n = self.n;
-        if Some(k) == self.spec.tau(n, i, j, j as i64 - 1) {
-            u0.write(i, j, nv);
+    let _ = walk(spec, root, base_size, Some(obs), &mut |leaf| {
+        if gep_obs::enabled() {
+            gep_obs::counter_add("cgep.base_cases", 1);
+            gep_obs::counter_add("cgep.updates", leaf.sigma_count(spec));
         }
-        if Some(k) == self.spec.tau(n, i, j, j as i64) {
-            u1.write(i, j, nv);
-        }
-        if Some(k) == self.spec.tau(n, i, j, i as i64 - 1) {
-            v0.write(i, j, nv);
-        }
-        if Some(k) == self.spec.tau(n, i, j, i as i64) {
-            v1.write(i, j, nv);
-        }
-    }
-
-    /// The recursion `H` (identical structure to I-GEP's `F`).
-    #[allow(clippy::too_many_arguments)]
-    fn h_rec<St: CellStore<S::Elem> + ?Sized>(
-        &mut self,
-        c: &mut St,
-        u0: &mut St,
-        u1: &mut St,
-        v0: &mut St,
-        v1: &mut St,
-        i0: usize,
-        j0: usize,
-        k0: usize,
-        s: usize,
-    ) {
-        if !self
-            .spec
-            .sigma_intersects((i0, i0 + s - 1), (j0, j0 + s - 1), (k0, k0 + s - 1))
-        {
-            return;
-        }
-        gep_obs::counter_add("cgep.calls", 1);
-        let _span = gep_obs::span("H", "cgep")
-            .arg("i0", i0 as i64)
-            .arg("j0", j0 as i64)
-            .arg("k0", k0 as i64)
-            .arg("s", s as i64);
-        if s <= self.base {
-            if gep_obs::enabled() {
-                gep_obs::counter_add("cgep.base_cases", 1);
-                gep_obs::counter_add(
-                    "cgep.updates",
-                    crate::iterative::sigma_count_box(
-                        self.spec,
-                        (i0, i0 + s - 1),
-                        (j0, j0 + s - 1),
-                        (k0, k0 + s - 1),
-                    ),
-                );
-            }
-            // Iterative base-case kernel with snapshot bookkeeping
-            // (k-major order, as in G).
-            for k in k0..k0 + s {
-                for i in i0..i0 + s {
-                    for j in j0..j0 + s {
-                        if self.spec.in_sigma(i, j, k) {
-                            self.apply(c, u0, u1, v0, v1, i, j, k);
-                        }
+        // Iterative base-case kernel with snapshot bookkeeping (k-major
+        // order, as in G): lines 2–8 of Figure 3, 0-based.
+        let Cube { i0, j0, k0, s } = leaf;
+        for k in k0..k0 + s {
+            for i in i0..i0 + s {
+                for j in j0..j0 + s {
+                    if !spec.in_sigma(i, j, k) {
+                        continue;
+                    }
+                    let [ru, rv, rw] = snapshot_reads(i, j, k);
+                    let x = c.read(i, j);
+                    let u = if ru { u1.read(i, k) } else { u0.read(i, k) };
+                    let v = if rv { v1.read(k, j) } else { v0.read(k, j) };
+                    let w = if rw { u1.read(k, k) } else { u0.read(k, k) };
+                    let nv = spec.update(i, j, k, x, u, v, w);
+                    c.write(i, j, nv);
+                    let [su0, su1, sv0, sv1] = snapshot_saves(spec, n, i, j, k);
+                    if su0 {
+                        u0.write(i, j, nv);
+                    }
+                    if su1 {
+                        u1.write(i, j, nv);
+                    }
+                    if sv0 {
+                        v0.write(i, j, nv);
+                    }
+                    if sv1 {
+                        v1.write(i, j, nv);
                     }
                 }
             }
-            return;
         }
-        let h = s / 2;
-        // Forward pass.
-        self.h_rec(c, u0, u1, v0, v1, i0, j0, k0, h);
-        self.h_rec(c, u0, u1, v0, v1, i0, j0 + h, k0, h);
-        self.h_rec(c, u0, u1, v0, v1, i0 + h, j0, k0, h);
-        self.h_rec(c, u0, u1, v0, v1, i0 + h, j0 + h, k0, h);
-        // Backward pass.
-        self.h_rec(c, u0, u1, v0, v1, i0 + h, j0 + h, k0 + h, h);
-        self.h_rec(c, u0, u1, v0, v1, i0 + h, j0, k0 + h, h);
-        self.h_rec(c, u0, u1, v0, v1, i0, j0 + h, k0 + h, h);
-        self.h_rec(c, u0, u1, v0, v1, i0, j0, k0 + h, h);
-    }
+        ControlFlow::Continue(())
+    });
 }
 
 #[cfg(test)]

@@ -25,11 +25,14 @@
 //! footprint, which is why Figure 9 shows it slower than the `4n²`
 //! variant.
 
+use crate::cgep::snapshot_reads;
+use crate::igep::{walk, Cube, NodeObs};
 use crate::spec::GepSpec;
 use crate::store::CellStore;
 use gep_matrix::Matrix;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
+use std::ops::ControlFlow;
 
 /// Multiplicative hasher for the already-well-mixed `u64` slot keys —
 /// the snapshot maps are on the per-update hot path, where SipHash would
@@ -104,16 +107,14 @@ fn slot_limit(kind: u64, a: usize, b: usize) -> i64 {
 ///   updates `⟨i, j, b⟩`, split by the Figure 3 Iverson bracket.
 /// * `v`-slots of `(a, b)` are read by updates `⟨i, b, a⟩` (their
 ///   `c[k,j]` argument), split by `i ≤ a` (v0) vs `i > a` (v1).
+///
+/// Every split is the read rule [`snapshot_reads`] itself, so the
+/// accounting cannot disagree with the reads [`SnapStore::apply`] makes.
 fn slot_readers<S: GepSpec>(spec: &S, n: usize, a: usize, b: usize) -> [u32; 4] {
-    let mut u0 = 0u32;
-    let mut u1 = 0u32;
+    let mut u = [0u32; 2];
     for j in 0..n {
         if spec.in_sigma(a, j, b) {
-            if j <= b {
-                u0 += 1;
-            } else {
-                u1 += 1;
-            }
+            u[snapshot_reads(a, j, b)[0] as usize] += 1;
         }
     }
     if a == b {
@@ -121,27 +122,18 @@ fn slot_readers<S: GepSpec>(spec: &S, n: usize, a: usize, b: usize) -> [u32; 4] 
         for i in 0..n {
             for j in 0..n {
                 if spec.in_sigma(i, j, b) {
-                    if i > b || (i == b && j > b) {
-                        u1 += 1;
-                    } else {
-                        u0 += 1;
-                    }
+                    u[snapshot_reads(i, j, b)[2] as usize] += 1;
                 }
             }
         }
     }
-    let mut v0 = 0u32;
-    let mut v1 = 0u32;
+    let mut v = [0u32; 2];
     for i in 0..n {
         if spec.in_sigma(i, b, a) {
-            if i <= a {
-                v0 += 1;
-            } else {
-                v1 += 1;
-            }
+            v[snapshot_reads(i, b, a)[1] as usize] += 1;
         }
     }
-    [u0, u1, v0, v1]
+    [u[0], u[1], v[0], v[1]]
 }
 
 /// Sentinel: reader count not computed yet.
@@ -227,6 +219,24 @@ impl<S: GepSpec> SnapStore<'_, S> {
         }
     }
 
+    /// Applies one update `⟨i,j,k⟩`, reading its operands through the
+    /// snapshot slots Figure 3 selects and copying out the state the write
+    /// destroys if a slot still needs it.
+    #[inline]
+    fn apply<St: CellStore<S::Elem> + ?Sized>(&mut self, c: &mut St, i: usize, j: usize, k: usize) {
+        let [ru, rv, rw] = snapshot_reads(i, j, k);
+        let x = c.read(i, j);
+        let u = self.consume(c, if ru { U1 } else { U0 }, i, k);
+        let v = self.consume(c, if rv { V1 } else { V0 }, k, j);
+        let w = self.consume(c, if rw { U1 } else { U0 }, k, k);
+        let nv = self.spec.update(i, j, k, x, u, v, w);
+        // This write destroys the state "after tau(i, j, k-1)" of (i, j);
+        // copy it out for any slot that still needs it.
+        let tau_prev = self.spec.tau(self.n, i, j, k as i64 - 1);
+        self.on_destroy(i, j, x, tau_prev);
+        c.write(i, j, nv);
+    }
+
     /// Reads slot `(kind, a, b)`: from a materialised copy, or from the
     /// still-live cell when the state has not been destroyed yet.
     fn consume<St: CellStore<S::Elem> + ?Sized>(
@@ -277,31 +287,48 @@ where
     St: CellStore<S::Elem> + ?Sized,
 {
     let n = c.n();
-    if n == 0 {
+    let Some(root) = Cube::root(n, base_size) else {
         // Σ ⊆ [0,0)³ is empty: nothing to do, nothing ever live.
         return ReducedSpaceStats::default();
-    }
-    assert!(n.is_power_of_two(), "C-GEP needs a power-of-two side");
-    assert!(base_size >= 1);
-    let mut env = Env {
-        base: base_size,
-        snaps: SnapStore {
-            spec,
-            n,
-            counts: vec![UNKNOWN; 4 * n * n],
-            live: SlotMap::default(),
-            peak: 0,
-            saves: 0,
-            reads: 0,
-            reads_from_cell: 0,
-        },
     };
-    env.h_rec(c, 0, 0, 0, n);
+    let mut snaps = SnapStore {
+        spec,
+        n,
+        counts: vec![UNKNOWN; 4 * n * n],
+        live: SlotMap::default(),
+        peak: 0,
+        saves: 0,
+        reads: 0,
+        reads_from_cell: 0,
+    };
+    let obs = NodeObs {
+        calls: "cgep_reduced.calls",
+        span: "H",
+        cat: "cgep_reduced",
+    };
+    // The same Figure 2 schedule as C-GEP; only the base case differs.
+    let _ = walk(spec, root, base_size, Some(obs), &mut |leaf| {
+        if gep_obs::enabled() {
+            gep_obs::counter_add("cgep_reduced.base_cases", 1);
+            gep_obs::counter_add("cgep_reduced.updates", leaf.sigma_count(spec));
+        }
+        let Cube { i0, j0, k0, s } = leaf;
+        for k in k0..k0 + s {
+            for i in i0..i0 + s {
+                for j in j0..j0 + s {
+                    if spec.in_sigma(i, j, k) {
+                        snaps.apply(c, i, j, k);
+                    }
+                }
+            }
+        }
+        ControlFlow::Continue(())
+    });
     debug_assert!(
-        env.snaps.live.is_empty(),
+        snaps.live.is_empty(),
         "snapshots left live after the run ({:?}): reader accounting \
          incomplete; {}",
-        env.snaps
+        snaps
             .live
             .keys()
             .map(|&k| {
@@ -315,23 +342,23 @@ where
         dump_sigma(spec, n)
     );
     debug_assert!(
-        env.snaps.peak <= n * n + n,
+        snaps.peak <= n * n + n,
         "peak live snapshots {} exceeds the paper's §2.2.2 bound n²+n = {}; {}",
-        env.snaps.peak,
+        snaps.peak,
         n * n + n,
         dump_sigma(spec, n)
     );
     if gep_obs::enabled() {
-        gep_obs::counter_add("cgep_reduced.saves", env.snaps.saves);
-        gep_obs::counter_add("cgep_reduced.snapshot_reads", env.snaps.reads);
-        gep_obs::counter_add("cgep_reduced.reads_from_cell", env.snaps.reads_from_cell);
-        gep_obs::gauge_set("cgep_reduced.peak_live_snapshots", env.snaps.peak as f64);
+        gep_obs::counter_add("cgep_reduced.saves", snaps.saves);
+        gep_obs::counter_add("cgep_reduced.snapshot_reads", snaps.reads);
+        gep_obs::counter_add("cgep_reduced.reads_from_cell", snaps.reads_from_cell);
+        gep_obs::gauge_set("cgep_reduced.peak_live_snapshots", snaps.peak as f64);
     }
     ReducedSpaceStats {
-        peak_live_snapshots: env.snaps.peak,
-        saves: env.snaps.saves,
-        reads: env.snaps.reads,
-        reads_from_cell: env.snaps.reads_from_cell,
+        peak_live_snapshots: snaps.peak,
+        saves: snaps.saves,
+        reads: snaps.reads,
+        reads_from_cell: snaps.reads_from_cell,
         claimed_bound: n * n + n,
     }
 }
@@ -346,87 +373,6 @@ where
     S: GepSpec,
 {
     cgep_reduced(spec, c, base_size)
-}
-
-struct Env<'s, S: GepSpec> {
-    base: usize,
-    snaps: SnapStore<'s, S>,
-}
-
-impl<S: GepSpec> Env<'_, S> {
-    #[inline]
-    fn apply<St: CellStore<S::Elem> + ?Sized>(&mut self, c: &mut St, i: usize, j: usize, k: usize) {
-        let spec = self.snaps.spec;
-        let n = self.snaps.n;
-        let x = c.read(i, j);
-        let u = self.snaps.consume(c, if j > k { U1 } else { U0 }, i, k);
-        let v = self.snaps.consume(c, if i > k { V1 } else { V0 }, k, j);
-        let w = self
-            .snaps
-            .consume(c, if i > k || (i == k && j > k) { U1 } else { U0 }, k, k);
-        let nv = spec.update(i, j, k, x, u, v, w);
-        // This write destroys the state "after tau(i, j, k-1)" of (i, j);
-        // copy it out for any slot that still needs it.
-        let tau_prev = spec.tau(n, i, j, k as i64 - 1);
-        self.snaps.on_destroy(i, j, x, tau_prev);
-        c.write(i, j, nv);
-    }
-
-    fn h_rec<St: CellStore<S::Elem> + ?Sized>(
-        &mut self,
-        c: &mut St,
-        i0: usize,
-        j0: usize,
-        k0: usize,
-        s: usize,
-    ) {
-        if !self
-            .snaps
-            .spec
-            .sigma_intersects((i0, i0 + s - 1), (j0, j0 + s - 1), (k0, k0 + s - 1))
-        {
-            return;
-        }
-        gep_obs::counter_add("cgep_reduced.calls", 1);
-        let _span = gep_obs::span("H", "cgep_reduced")
-            .arg("i0", i0 as i64)
-            .arg("j0", j0 as i64)
-            .arg("k0", k0 as i64)
-            .arg("s", s as i64);
-        if s <= self.base {
-            if gep_obs::enabled() {
-                gep_obs::counter_add("cgep_reduced.base_cases", 1);
-                gep_obs::counter_add(
-                    "cgep_reduced.updates",
-                    crate::iterative::sigma_count_box(
-                        self.snaps.spec,
-                        (i0, i0 + s - 1),
-                        (j0, j0 + s - 1),
-                        (k0, k0 + s - 1),
-                    ),
-                );
-            }
-            for k in k0..k0 + s {
-                for i in i0..i0 + s {
-                    for j in j0..j0 + s {
-                        if self.snaps.spec.in_sigma(i, j, k) {
-                            self.apply(c, i, j, k);
-                        }
-                    }
-                }
-            }
-            return;
-        }
-        let h = s / 2;
-        self.h_rec(c, i0, j0, k0, h);
-        self.h_rec(c, i0, j0 + h, k0, h);
-        self.h_rec(c, i0 + h, j0, k0, h);
-        self.h_rec(c, i0 + h, j0 + h, k0, h);
-        self.h_rec(c, i0 + h, j0 + h, k0 + h, h);
-        self.h_rec(c, i0 + h, j0, k0 + h, h);
-        self.h_rec(c, i0, j0 + h, k0 + h, h);
-        self.h_rec(c, i0, j0, k0 + h, h);
-    }
 }
 
 #[cfg(test)]

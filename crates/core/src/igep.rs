@@ -9,14 +9,157 @@
 //! increasing `k` (Theorem 2.1); it is cache-oblivious with
 //! Θ(n³/(B√M)) I/Os on a tall cache.
 //!
-//! This module's engine is generic over [`CellStore`], which is what the
-//! cache-simulator and out-of-core experiments run. The raw-speed in-core
-//! variant (with the Figure 6 A/B/C/D specialisation) lives in
-//! [`crate::abcd`].
+//! [`walk`] is the one copy of that schedule in the workspace: it visits
+//! the non-pruned base-case boxes of `F` in execution order and hands each
+//! to a leaf visitor. Every sequential Figure 2 / Figure 3 engine is a
+//! visitor over it — [`igep`] and [`igep_box`] here (the iterative kernel
+//! on a [`CellStore`], which is what the cache-simulator and out-of-core
+//! experiments run), the resumable engine and step counter of
+//! [`crate::resume`], both C-GEP variants ([`crate::cgep`],
+//! [`mod@crate::cgep_reduced`]) and the Lemma 3.1(b) schedule in `gep-bench`.
+//! The raw-speed in-core variant (with the Figure 6 A/B/C/D
+//! specialisation) lives in [`crate::abcd`].
 
-use crate::iterative::gep_iterative_box;
+use crate::iterative::{gep_iterative_box, sigma_count_box};
 use crate::spec::GepSpec;
 use crate::store::CellStore;
+use std::ops::ControlFlow;
+
+/// One subproblem of the Figure 2 recursion: rows `i0..i0+s`, columns
+/// `j0..j0+s`, update indices `k0..k0+s` (`s` a power of two).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Cube {
+    /// First row.
+    pub i0: usize,
+    /// First column.
+    pub j0: usize,
+    /// First update index `k`.
+    pub k0: usize,
+    /// Side.
+    pub s: usize,
+}
+
+impl Cube {
+    /// The whole update space of an `n × n` problem, or `None` when
+    /// `n = 0` (Σ ⊆ [0,0)³ is empty — every engine is then a no-op).
+    ///
+    /// # Panics
+    /// Panics unless `n` is zero or a power of two, and `base >= 1` — the
+    /// contract every recursive engine shares.
+    pub fn root(n: usize, base: usize) -> Option<Cube> {
+        if n == 0 {
+            return None;
+        }
+        assert!(
+            n.is_power_of_two(),
+            "GEP recursion needs a power-of-two side"
+        );
+        assert!(base >= 1);
+        Some(Cube {
+            i0: 0,
+            j0: 0,
+            k0: 0,
+            s: n,
+        })
+    }
+
+    /// The inclusive `(i, j, k)` ranges, in the form
+    /// [`GepSpec::sigma_intersects`] and the box kernels take them.
+    #[inline]
+    pub fn ranges(self) -> ((usize, usize), (usize, usize), (usize, usize)) {
+        let last = self.s - 1;
+        (
+            (self.i0, self.i0 + last),
+            (self.j0, self.j0 + last),
+            (self.k0, self.k0 + last),
+        )
+    }
+
+    /// Whether `T ∩ Σ ≠ ∅` for this box (Figure 2, line 1).
+    #[inline]
+    pub fn meets_sigma<S: GepSpec>(self, spec: &S) -> bool {
+        let (ib, jb, kb) = self.ranges();
+        spec.sigma_intersects(ib, jb, kb)
+    }
+
+    /// Number of updates of `Σ` inside the box (see
+    /// [`sigma_count_box`]).
+    pub fn sigma_count<S: GepSpec>(self, spec: &S) -> u64 {
+        let (ib, jb, kb) = self.ranges();
+        sigma_count_box(spec, ib, jb, kb)
+    }
+}
+
+/// The call counter and span a [`walk`] records at every non-pruned node
+/// (internal nodes and leaves alike), e.g. `igep.calls` and `F`/`igep`.
+#[derive(Clone, Copy, Debug)]
+pub struct NodeObs {
+    /// Counter bumped once per node.
+    pub calls: &'static str,
+    /// Span name.
+    pub span: &'static str,
+    /// Span category.
+    pub cat: &'static str,
+}
+
+const F_OBS: NodeObs = NodeObs {
+    calls: "igep.calls",
+    span: "F",
+    cat: "igep",
+};
+
+/// Walks the Figure 2 recursion on `cube` and calls `leaf` on each
+/// non-pruned base-case box (side `<= base`), in execution order.
+///
+/// Boxes with `T ∩ Σ = ∅` are skipped whole, so the leaf sequence depends
+/// only on `(Σ, cube, base)` — never on matrix contents. That sequence is
+/// what checkpoint cursors and WAL step counts index, so it must not
+/// change. `leaf` returning [`ControlFlow::Break`] stops the walk at once
+/// and the break is returned.
+///
+/// With `obs`, every non-pruned node bumps `obs.calls` and opens an
+/// `obs.span` span (args `i0`, `j0`, `k0`, `s`) covering its subtree.
+pub fn walk<S: GepSpec>(
+    spec: &S,
+    cube: Cube,
+    base: usize,
+    obs: Option<NodeObs>,
+    leaf: &mut impl FnMut(Cube) -> ControlFlow<()>,
+) -> ControlFlow<()> {
+    // Line 1: if T ∩ Σ = ∅ then return.
+    if !cube.meets_sigma(spec) {
+        return ControlFlow::Continue(());
+    }
+    let _span = obs.map(|o| {
+        gep_obs::counter_add(o.calls, 1);
+        gep_obs::span(o.span, o.cat)
+            .arg("i0", cube.i0 as i64)
+            .arg("j0", cube.j0 as i64)
+            .arg("k0", cube.k0 as i64)
+            .arg("s", cube.s as i64)
+    });
+    if cube.s <= base {
+        return leaf(cube);
+    }
+    let h = cube.s / 2;
+    let Cube { i0, j0, k0, .. } = cube;
+    let mut f = |i0, j0, k0| {
+        let child = Cube { i0, j0, k0, s: h };
+        walk(spec, child, base, obs, leaf)
+    };
+    // Line 5 — forward pass, k in the first half:
+    // F(X11), F(X12), F(X21), F(X22).
+    f(i0, j0, k0)?;
+    f(i0, j0 + h, k0)?;
+    f(i0 + h, j0, k0)?;
+    f(i0 + h, j0 + h, k0)?;
+    // Line 6 — backward pass, k in the second half:
+    // F(X22), F(X21), F(X12), F(X11).
+    f(i0 + h, j0 + h, k0 + h)?;
+    f(i0 + h, j0, k0 + h)?;
+    f(i0, j0 + h, k0 + h)?;
+    f(i0, j0, k0 + h)
+}
 
 /// Runs I-GEP (Figure 2) on `c`.
 ///
@@ -44,13 +187,9 @@ where
     S: GepSpec,
     St: CellStore<S::Elem> + ?Sized,
 {
-    let n = c.n();
-    if n == 0 {
-        return; // Σ ⊆ [0,0)³ is empty — match gep_iterative's no-op.
+    if let Some(Cube { i0, j0, k0, s }) = Cube::root(c.n(), base_size) {
+        igep_box(spec, c, i0, j0, k0, s, base_size);
     }
-    assert!(n.is_power_of_two(), "I-GEP needs a power-of-two side");
-    assert!(base_size >= 1);
-    f_rec(spec, c, 0, 0, 0, n, base_size);
 }
 
 /// The recursive `F` on an explicit box: rows `i0..i0+s`,
@@ -69,63 +208,18 @@ where
     S: GepSpec,
     St: CellStore<S::Elem> + ?Sized,
 {
-    f_rec(spec, c, i0, j0, k0, s, base)
-}
-
-/// The recursive `F`: operates on the box with rows `i0..i0+s`,
-/// cols `j0..j0+s`, update indices `k0..k0+s`.
-fn f_rec<S, St>(spec: &S, c: &mut St, i0: usize, j0: usize, k0: usize, s: usize, base: usize)
-where
-    S: GepSpec,
-    St: CellStore<S::Elem> + ?Sized,
-{
-    // Line 1: if T ∩ Σ = ∅ then return.
-    if !spec.sigma_intersects((i0, i0 + s - 1), (j0, j0 + s - 1), (k0, k0 + s - 1)) {
-        return;
-    }
-    gep_obs::counter_add("igep.calls", 1);
-    let _span = gep_obs::span("F", "igep")
-        .arg("i0", i0 as i64)
-        .arg("j0", j0 as i64)
-        .arg("k0", k0 as i64)
-        .arg("s", s as i64);
-    if s <= base {
+    let cube = Cube { i0, j0, k0, s };
+    let _ = walk(spec, cube, base, Some(F_OBS), &mut |leaf| {
         // Line 2 generalised: iterative kernel on the box (for s = 1 this
         // is exactly the paper's base case).
         if gep_obs::enabled() {
             gep_obs::counter_add("igep.base_cases", 1);
-            gep_obs::counter_add(
-                "igep.updates",
-                crate::iterative::sigma_count_box(
-                    spec,
-                    (i0, i0 + s - 1),
-                    (j0, j0 + s - 1),
-                    (k0, k0 + s - 1),
-                ),
-            );
+            gep_obs::counter_add("igep.updates", leaf.sigma_count(spec));
         }
-        gep_iterative_box(
-            spec,
-            c,
-            (i0, i0 + s - 1),
-            (j0, j0 + s - 1),
-            (k0, k0 + s - 1),
-        );
-        return;
-    }
-    let h = s / 2;
-    // Line 5 — forward pass, k in the first half:
-    // F(X11), F(X12), F(X21), F(X22).
-    f_rec(spec, c, i0, j0, k0, h, base);
-    f_rec(spec, c, i0, j0 + h, k0, h, base);
-    f_rec(spec, c, i0 + h, j0, k0, h, base);
-    f_rec(spec, c, i0 + h, j0 + h, k0, h, base);
-    // Line 6 — backward pass, k in the second half:
-    // F(X22), F(X21), F(X12), F(X11).
-    f_rec(spec, c, i0 + h, j0 + h, k0 + h, h, base);
-    f_rec(spec, c, i0 + h, j0, k0 + h, h, base);
-    f_rec(spec, c, i0, j0 + h, k0 + h, h, base);
-    f_rec(spec, c, i0, j0, k0 + h, h, base);
+        let (ib, jb, kb) = leaf.ranges();
+        gep_iterative_box(spec, c, ib, jb, kb);
+        ControlFlow::Continue(())
+    });
 }
 
 #[cfg(test)]

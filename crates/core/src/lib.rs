@@ -40,6 +40,26 @@
 //! through the [`joiner::Joiner`] abstraction — the skeleton that
 //! `gep-parallel` runs multithreaded.
 //!
+//! ## Two schedules, one copy each
+//!
+//! F (Figure 2), H (Figure 3) and the Figure 6 family are one recursion
+//! with different base cases and `parallel:` annotations, so the crate
+//! holds exactly two copies of it, and every engine supplies only a leaf:
+//!
+//! * [`igep::walk`] — the sequential **Figure 2 walker**. It visits the
+//!   non-pruned base-case boxes ([`igep::Cube`]) in F's exact order and
+//!   hands each to a `FnMut` visitor that may stop the walk. `igep`,
+//!   `igep_box`, `igep_resumable`, `igep_step_count`, `cgep_full_with`
+//!   and `cgep_reduced` are visitors over it; its leaf order is what
+//!   checkpoint cursors count.
+//! * [`abcd::fn_a`]..[`abcd::fn_d`] — the **Figure 6 skeleton**, generic
+//!   over a [`joiner::Joiner`] and an [`abcd::AbcdLeaf`] base case.
+//!   `igep_opt` and `gep-parallel`'s `igep_parallel` pass the spec's
+//!   kernel; `gep-parallel`'s `cgep_parallel` passes a snapshot leaf.
+//!
+//! The C-GEP snapshot rules of Figure 3 likewise live once, in
+//! [`cgep::snapshot_reads`] and [`cgep::snapshot_saves`].
+//!
 //! ## Index conventions
 //!
 //! The paper uses 1-based indices `i, j, k ∈ [1, n]`. This crate is 0-based:

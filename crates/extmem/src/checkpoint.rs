@@ -754,38 +754,6 @@ mod tests {
         assert_eq!(m.cursor, stats.total_steps);
     }
 
-    /// The progress gauges and latency histograms a flight recorder would
-    /// sample: final state shows a complete run with zero checkpoint lag,
-    /// and every durability / paging event left a latency sample.
-    #[test]
-    fn run_publishes_progress_gauges_and_latency_histograms() {
-        let _g = crate::arena::tests::obs_test_lock();
-        let _ = gep_obs::take();
-        gep_obs::install(gep_obs::Recorder::counters_only());
-        let n = 16;
-        let input = fw_input(n, 23);
-        let mut store = MemStore::new(None);
-        let (_, stats) =
-            run_checkpointed(&FwSpec::<i64>::new(), &input, &cfg(10), &mut store, None);
-        let rec = gep_obs::take().expect("recorder installed above");
-        assert_eq!(rec.gauge("progress.cursor"), Some(stats.total_steps as f64));
-        assert_eq!(rec.gauge("progress.pct"), Some(100.0));
-        assert_eq!(rec.gauge("progress.ckpt_lag_steps"), Some(0.0));
-        assert_eq!(rec.gauge("progress.ckpt_lag_wal_bytes"), Some(0.0));
-        let frac = rec.gauge("progress.io_wait_frac").expect("io_wait_frac");
-        assert!((0.0..=1.0).contains(&frac), "frac={frac}");
-        let wal = rec.hist("extmem.wal_fsync_ns").expect("wal hist");
-        assert_eq!(wal.count(), stats.wal_records);
-        // The leaf kernels themselves run over the arena-backed CellStore
-        // and record into kernel.leaf_ns via gep-core's resumable walker.
-        let leaf = rec.hist("kernel.leaf_ns").expect("leaf hist");
-        assert_eq!(leaf.count(), stats.executed_steps);
-        // A 2 KiB cache over a 16x16 i64 matrix must page: both fault
-        // paths leave latency samples.
-        assert!(rec.hist("extmem.read_ns").is_some(), "read hist");
-        assert!(rec.hist("extmem.write_ns").is_some(), "write hist");
-    }
-
     #[test]
     fn resuming_a_completed_run_recomputes_nothing() {
         let n = 8;

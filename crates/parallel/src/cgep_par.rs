@@ -1,33 +1,32 @@
 //! Multithreaded **C-GEP** (paper Section 3: "a similar parallel
 //! algorithm with the same parallel time bound applies to C-GEP").
 //!
-//! The recursion and the parallel grouping are exactly Figure 6's; only
-//! the base-case update differs — it reads the snapshot matrices and
-//! performs the τ-scheduled saves of Figure 3. The dependency argument
-//! carries over because every snapshot write of a task targets the same
-//! `(i, j)` cells as its `c` writes (each update saves only into its own
-//! cell's slots), so the groups' write sets stay pairwise disjoint, and
-//! snapshot *reads* target the `U`/`V`/`W` panel regions that no group
-//! member writes.
+//! The recursion and the parallel grouping are exactly Figure 6's — this
+//! module runs `gep-core`'s A/B/C/D skeleton ([`gep_core::abcd`]) and
+//! supplies only a different [`AbcdLeaf`]: a base case that reads the
+//! snapshot matrices and performs the τ-scheduled saves of Figure 3,
+//! selected by the same [`snapshot_reads`] / [`snapshot_saves`] rules as
+//! sequential C-GEP. The dependency argument carries over because every
+//! snapshot write of a task targets the same `(i, j)` cells as its `c`
+//! writes (each update saves only into its own cell's slots), so the
+//! groups' write sets stay pairwise disjoint, and snapshot *reads* target
+//! the `U`/`V`/`W` panel regions that no group member writes.
 
-use gep_core::{GepMat, GepSpec, Joiner};
+use gep_core::abcd::{fn_a, Abcd, AbcdLeaf};
+use gep_core::cgep::{snapshot_reads, snapshot_saves};
+use gep_core::igep::Cube;
+use gep_core::{BoxShape, GepMat, GepSpec};
 use gep_matrix::Matrix;
 
-/// The five shared matrices of a C-GEP execution.
-struct Mats<'a, T> {
-    c: GepMat<'a, T>,
-    u0: GepMat<'a, T>,
-    u1: GepMat<'a, T>,
-    v0: GepMat<'a, T>,
-    v1: GepMat<'a, T>,
+/// The C-GEP base case over the five shared matrices of one execution.
+struct SnapshotLeaf<'a, S: GepSpec> {
+    spec: &'a S,
+    c: GepMat<'a, S::Elem>,
+    u0: GepMat<'a, S::Elem>,
+    u1: GepMat<'a, S::Elem>,
+    v0: GepMat<'a, S::Elem>,
+    v1: GepMat<'a, S::Elem>,
 }
-
-impl<T> Clone for Mats<'_, T> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-impl<T> Copy for Mats<'_, T> {}
 
 /// Runs multithreaded C-GEP (4n² variant) on the current rayon pool;
 /// equivalent to iterative GEP for **every** spec.
@@ -38,248 +37,68 @@ pub fn cgep_parallel<S>(spec: &S, c: &mut Matrix<S::Elem>, base_size: usize)
 where
     S: GepSpec + Sync,
 {
-    let n = c.n();
-    if n == 0 {
-        return; // Σ ⊆ [0,0)³ is empty — match gep_iterative's no-op.
-    }
-    assert!(n.is_power_of_two(), "C-GEP needs a power-of-two side");
-    assert!(base_size >= 1);
+    let Some(root) = Cube::root(c.n(), base_size) else {
+        return;
+    };
     let _span = gep_obs::span("cgep_parallel", "parallel")
-        .arg("n", n as i64)
+        .arg("n", root.s as i64)
         .arg("base", base_size as i64)
         .arg("threads", rayon::current_num_threads() as i64);
     let mut u0 = c.clone();
     let mut u1 = c.clone();
     let mut v0 = c.clone();
     let mut v1 = c.clone();
-    let mats = Mats {
+    let leaf = SnapshotLeaf {
+        spec,
         c: GepMat::new(c),
         u0: GepMat::new(&mut u0),
         u1: GepMat::new(&mut u1),
         v0: GepMat::new(&mut v0),
         v1: GepMat::new(&mut v1),
     };
-    // SAFETY: exclusive borrows of all five matrices; `h_a` upholds the
-    // Figure 6 disjoint-writes discipline extended to the snapshot
-    // matrices (module docs).
-    unsafe { h_a(&crate::RayonJoiner, spec, mats, 0, 0, 0, n, base_size) }
-}
-
-/// One Figure 3 update with snapshot reads and saves, on raw matrices.
-///
-/// # Safety
-/// Caller guarantees exclusive write access to cell `(i, j)` of all five
-/// matrices and read stability of the panel cells.
-#[inline]
-unsafe fn apply<S: GepSpec>(
-    spec: &S,
-    m: Mats<'_, S::Elem>,
-    n: usize,
-    i: usize,
-    j: usize,
-    k: usize,
-) {
-    let x = m.c.get(i, j);
-    let u = if j > k {
-        m.u1.get(i, k)
-    } else {
-        m.u0.get(i, k)
-    };
-    let v = if i > k {
-        m.v1.get(k, j)
-    } else {
-        m.v0.get(k, j)
-    };
-    let w = if i > k || (i == k && j > k) {
-        m.u1.get(k, k)
-    } else {
-        m.u0.get(k, k)
-    };
-    let nv = spec.update(i, j, k, x, u, v, w);
-    m.c.set(i, j, nv);
-    if Some(k) == spec.tau(n, i, j, j as i64 - 1) {
-        m.u0.set(i, j, nv);
-    }
-    if Some(k) == spec.tau(n, i, j, j as i64) {
-        m.u1.set(i, j, nv);
-    }
-    if Some(k) == spec.tau(n, i, j, i as i64 - 1) {
-        m.v0.set(i, j, nv);
-    }
-    if Some(k) == spec.tau(n, i, j, i as i64) {
-        m.v1.set(i, j, nv);
+    // SAFETY: exclusive borrows of all five matrices; the skeleton upholds
+    // the Figure 6 disjoint-writes discipline, which the leaf extends to
+    // the snapshot matrices (module docs).
+    unsafe {
+        let x = Abcd {
+            joiner: &crate::RayonJoiner,
+            spec,
+            leaf: &leaf,
+            base: base_size,
+        };
+        fn_a(&x, 0, 0, 0, root.s)
     }
 }
 
-/// Iterative base-case kernel (k-major order, like G).
-unsafe fn kernel<S: GepSpec>(
-    spec: &S,
-    m: Mats<'_, S::Elem>,
-    xr: usize,
-    xc: usize,
-    kk: usize,
-    s: usize,
-) {
-    let n = m.c.n();
-    for k in kk..kk + s {
-        for i in xr..xr + s {
-            for j in xc..xc + s {
-                if spec.in_sigma(i, j, k) {
-                    apply(spec, m, n, i, j, k);
+impl<S: GepSpec + Sync> AbcdLeaf for SnapshotLeaf<'_, S> {
+    /// Iterative base-case kernel (k-major order, like G), each update
+    /// with the snapshot reads and saves of Figure 3.
+    unsafe fn leaf(&self, xr: usize, xc: usize, kk: usize, s: usize, _: BoxShape) {
+        let spec = self.spec;
+        let n = self.c.n();
+        for k in kk..kk + s {
+            for i in xr..xr + s {
+                for j in xc..xc + s {
+                    if !spec.in_sigma(i, j, k) {
+                        continue;
+                    }
+                    let [ru, rv, rw] = snapshot_reads(i, j, k);
+                    let x = self.c.get(i, j);
+                    let u = if ru { self.u1 } else { self.u0 }.get(i, k);
+                    let v = if rv { self.v1 } else { self.v0 }.get(k, j);
+                    let w = if rw { self.u1 } else { self.u0 }.get(k, k);
+                    let nv = spec.update(i, j, k, x, u, v, w);
+                    self.c.set(i, j, nv);
+                    let saves = snapshot_saves(spec, n, i, j, k);
+                    for (snap, save) in [self.u0, self.u1, self.v0, self.v1].iter().zip(saves) {
+                        if save {
+                            snap.set(i, j, nv);
+                        }
+                    }
                 }
             }
         }
     }
-}
-
-macro_rules! pruned {
-    ($spec:expr, $xr:expr, $xc:expr, $kk:expr, $s:expr) => {
-        !$spec.sigma_intersects(
-            ($xr, $xr + $s - 1),
-            ($xc, $xc + $s - 1),
-            ($kk, $kk + $s - 1),
-        )
-    };
-}
-
-#[allow(clippy::too_many_arguments)]
-unsafe fn h_a<S: GepSpec + Sync, J: Joiner>(
-    j_: &J,
-    spec: &S,
-    m: Mats<'_, S::Elem>,
-    xr: usize,
-    xc: usize,
-    kk: usize,
-    s: usize,
-    base: usize,
-) {
-    if pruned!(spec, xr, xc, kk, s) {
-        return;
-    }
-    if s <= base {
-        kernel(spec, m, xr, xc, kk, s);
-        return;
-    }
-    let h = s / 2;
-    h_a(j_, spec, m, xr, xc, kk, h, base);
-    j_.join(
-        || h_b(j_, spec, m, xr, xc + h, kk, h, base),
-        || h_c(j_, spec, m, xr + h, xc, kk, h, base),
-    );
-    h_d(j_, spec, m, xr + h, xc + h, kk, h, base);
-    h_a(j_, spec, m, xr + h, xc + h, kk + h, h, base);
-    j_.join(
-        || h_b(j_, spec, m, xr + h, xc, kk + h, h, base),
-        || h_c(j_, spec, m, xr, xc + h, kk + h, h, base),
-    );
-    h_d(j_, spec, m, xr, xc, kk + h, h, base);
-}
-
-#[allow(clippy::too_many_arguments)]
-unsafe fn h_b<S: GepSpec + Sync, J: Joiner>(
-    j_: &J,
-    spec: &S,
-    m: Mats<'_, S::Elem>,
-    xr: usize,
-    xc: usize,
-    kk: usize,
-    s: usize,
-    base: usize,
-) {
-    if pruned!(spec, xr, xc, kk, s) {
-        return;
-    }
-    if s <= base {
-        kernel(spec, m, xr, xc, kk, s);
-        return;
-    }
-    let h = s / 2;
-    j_.join(
-        || h_b(j_, spec, m, xr, xc, kk, h, base),
-        || h_b(j_, spec, m, xr, xc + h, kk, h, base),
-    );
-    j_.join(
-        || h_d(j_, spec, m, xr + h, xc, kk, h, base),
-        || h_d(j_, spec, m, xr + h, xc + h, kk, h, base),
-    );
-    j_.join(
-        || h_b(j_, spec, m, xr + h, xc, kk + h, h, base),
-        || h_b(j_, spec, m, xr + h, xc + h, kk + h, h, base),
-    );
-    j_.join(
-        || h_d(j_, spec, m, xr, xc, kk + h, h, base),
-        || h_d(j_, spec, m, xr, xc + h, kk + h, h, base),
-    );
-}
-
-#[allow(clippy::too_many_arguments)]
-unsafe fn h_c<S: GepSpec + Sync, J: Joiner>(
-    j_: &J,
-    spec: &S,
-    m: Mats<'_, S::Elem>,
-    xr: usize,
-    xc: usize,
-    kk: usize,
-    s: usize,
-    base: usize,
-) {
-    if pruned!(spec, xr, xc, kk, s) {
-        return;
-    }
-    if s <= base {
-        kernel(spec, m, xr, xc, kk, s);
-        return;
-    }
-    let h = s / 2;
-    j_.join(
-        || h_c(j_, spec, m, xr, xc, kk, h, base),
-        || h_c(j_, spec, m, xr + h, xc, kk, h, base),
-    );
-    j_.join(
-        || h_d(j_, spec, m, xr, xc + h, kk, h, base),
-        || h_d(j_, spec, m, xr + h, xc + h, kk, h, base),
-    );
-    j_.join(
-        || h_c(j_, spec, m, xr, xc + h, kk + h, h, base),
-        || h_c(j_, spec, m, xr + h, xc + h, kk + h, h, base),
-    );
-    j_.join(
-        || h_d(j_, spec, m, xr, xc, kk + h, h, base),
-        || h_d(j_, spec, m, xr + h, xc, kk + h, h, base),
-    );
-}
-
-#[allow(clippy::too_many_arguments)]
-unsafe fn h_d<S: GepSpec + Sync, J: Joiner>(
-    j_: &J,
-    spec: &S,
-    m: Mats<'_, S::Elem>,
-    xr: usize,
-    xc: usize,
-    kk: usize,
-    s: usize,
-    base: usize,
-) {
-    if pruned!(spec, xr, xc, kk, s) {
-        return;
-    }
-    if s <= base {
-        kernel(spec, m, xr, xc, kk, s);
-        return;
-    }
-    let h = s / 2;
-    j_.join4(
-        || h_d(j_, spec, m, xr, xc, kk, h, base),
-        || h_d(j_, spec, m, xr, xc + h, kk, h, base),
-        || h_d(j_, spec, m, xr + h, xc, kk, h, base),
-        || h_d(j_, spec, m, xr + h, xc + h, kk, h, base),
-    );
-    j_.join4(
-        || h_d(j_, spec, m, xr, xc, kk + h, h, base),
-        || h_d(j_, spec, m, xr, xc + h, kk + h, h, base),
-        || h_d(j_, spec, m, xr + h, xc, kk + h, h, base),
-        || h_d(j_, spec, m, xr + h, xc + h, kk + h, h, base),
-    );
 }
 
 #[cfg(test)]

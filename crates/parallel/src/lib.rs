@@ -1,7 +1,10 @@
 //! # gep-parallel — multithreaded I-GEP (paper Section 3)
 //!
 //! The Figure 6 `A / B / C / D` recursion from `gep-core::abcd`, executed
-//! on rayon's work-stealing pool via [`RayonJoiner`]. With `p` workers the
+//! on rayon's work-stealing pool via [`RayonJoiner`]. This crate holds no
+//! copy of that recursion: [`igep_parallel`] runs `gep-core`'s skeleton
+//! with the spec's kernel as the leaf, and [`cgep_parallel`] runs the same
+//! skeleton with a C-GEP snapshot leaf. With `p` workers the
 //! engine performs `T₁ = Θ(n³)` work and runs in
 //! `O(n³/p + n log² n)` parallel steps (Theorem 3.1); for pure matrix
 //! multiplication the all-independent `D` recursion improves the span to
@@ -9,6 +12,8 @@
 //!
 //! Also provided:
 //!
+//! * [`cgep_parallel`] — multithreaded C-GEP (4n² variant), the paper's
+//!   "similar parallel algorithm" for Figure 3.
 //! * [`igep_parallel_simple`] — the naive parallelisation the paper
 //!   mentions first (only the middle two quadrant calls of each Figure 2
 //!   pass run concurrently), with span `Θ(n^{log₂ 6})`; useful as an

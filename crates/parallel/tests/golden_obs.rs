@@ -189,7 +189,12 @@ fn chrome_trace_is_well_nested_under_work_stealing() {
 fn recorded_run_produces_same_result_as_unrecorded() {
     let n = 16;
     let mut plain = input(n);
-    igep_opt(&SumSpec, &mut plain, 2);
+    {
+        // Hold the lock for the unrecorded run too: otherwise it lands in
+        // whatever recorder a concurrent sibling test has installed.
+        let _g = LOCK.lock().unwrap_or_else(PoisonError::into_inner);
+        igep_opt(&SumSpec, &mut plain, 2);
+    }
     let mut recorded = input(n);
     let _rec = record(Recorder::new(), || {
         igep_opt(&SumSpec, &mut recorded, 2);
