@@ -10,14 +10,15 @@
 //!   [`Gf2Block`](gep_core::algebra::Gf2Block) (64×64 bits) per GEP cell;
 //! * [`ElimSpec<GfP<P>>`] — prime-field elimination with Barrett
 //!   reduction (exact rank / determinant / solving mod p);
-//! * [`ElimSpec<PlusTimesF64>`] — the classical real-field instance
-//!   ([`crate::GaussianSpec`] remains the spec of record for `f64`; it
-//!   shares kernels with this one through the same algebra hook).
+//! * [`ElimSpec<PlusTimesF64>`] — the classical real-field instance,
+//!   named [`GaussianSpec`](type@crate::GaussianSpec).
 //!
 //! No pivoting, as in the paper: inputs must have nonsingular leading
 //! principal minors (over GF(2): nonsingular leading *block* minors).
 //! Exact algebras have no `inf`/`NaN` to absorb a zero pivot, so the
-//! kernel panics on one instead of silently poisoning the matrix.
+//! generic kernel panics on one instead of silently poisoning the
+//! matrix — over the reals too (the per-cell update and the `gep-kernels`
+//! real-field tiles yield IEEE `inf`/`NaN` instead).
 //!
 //! [`ElimSpec<Gf2x64>`]: ElimSpec
 //! [`ElimSpec<GfP<P>>`]: ElimSpec
@@ -86,7 +87,9 @@ impl<A: EliminationAlgebra + AlgebraKernels> GepSpec for ElimSpec<A> {
     /// inner loop. For exact algebras this hoisting is *bitwise* identical
     /// to the per-cell [`EliminationAlgebra::eliminate`] (associativity is
     /// exact — no rounding); the multiplication order
-    /// `(u ⊗ w⁻¹) ⊗ v` matches `eliminate` for noncommutative `A`. The
+    /// `(u ⊗ w⁻¹) ⊗ v` matches `eliminate` for noncommutative `A`. Over
+    /// the reals it rounds differently from the per-cell `u·v/w`, so the
+    /// two agree to rounding, not bitwise. The
     /// hoists are sound on every box shape because `Σ` excludes
     /// `i == k` and `j == k`, so row `k` and column `k` are never written
     /// during step `k`.

@@ -7,12 +7,11 @@
 //!
 //! The distance-only spec is simply the generic algebraic closure
 //! [`SemiringSpec`] instantiated at the tropical algebra of the weight
-//! type ([`MinPlusI64`] / [`MinPlusF64`]); [`FwSpec`] survives as a type
-//! alias so call sites read as before. [`FwPathSpec`] additionally
-//! carries a successor matrix for path reconstruction (forward walk from
-//! the source); [`FwPredSpec`] carries a predecessor matrix (backward
-//! walk from the destination — the representation `gep-serve` caches,
-//! since a point query then touches a single row).
+//! type ([`MinPlusI64`] / [`MinPlusF64`]); [`FwSpec`] names it.
+//! [`FwPredSpec`] additionally carries a predecessor matrix for path
+//! reconstruction ([`extract_path_pred`] walks backward from the
+//! destination — the representation `gep-serve` caches, since a point
+//! query then touches a single row).
 //!
 //! Historical note: `i64` weight addition used to be plain `+`, which
 //! both wrapped on large finite weights and let `INFINITY + negative`
@@ -65,18 +64,6 @@ impl Weight for f64 {
 /// weight type's tropical algebra.
 pub type FwSpec<W = i64> = SemiringSpec<<W as Weight>::Alg>;
 
-/// Distance + successor spec for path reconstruction.
-///
-/// Element `(d, s)`: `d` is the current shortest distance, `s` the
-/// *next hop* on the corresponding path (`u32::MAX` = none/self). When the
-/// relaxation through `k` strictly improves `d[i][j]`, the next hop of
-/// `(i, j)` becomes the next hop of `(i, k)`.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct FwPathSpec;
-
-/// Sentinel "no successor".
-pub const NO_NEXT: u32 = u32::MAX;
-
 /// Distance + *predecessor* spec for path reconstruction.
 ///
 /// Element `(d, p)`: `d` is the current shortest distance from `i` to
@@ -84,49 +71,11 @@ pub const NO_NEXT: u32 = u32::MAX;
 /// ([`NO_PRED`] = none/self). When the relaxation through `k` strictly
 /// improves `d[i][j]`, the predecessor of `(i, j)` becomes the
 /// predecessor of `(k, j)` — the last hop of the `k → j` suffix.
-///
-/// The dual of [`FwPathSpec`]: a successor matrix reconstructs paths
-/// walking forward from the source, a predecessor matrix walking
-/// backward from the destination. `gep-serve` caches this spec because a
-/// `path u v` query then touches only row `u`.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct FwPredSpec;
 
 /// Sentinel "no predecessor".
 pub const NO_PRED: u32 = u32::MAX;
-
-impl gep_core::GepSpec for FwPathSpec {
-    type Elem = (i64, u32);
-
-    #[inline(always)]
-    fn update(
-        &self,
-        _i: usize,
-        _j: usize,
-        _k: usize,
-        x: (i64, u32),
-        u: (i64, u32),
-        v: (i64, u32),
-        _w: (i64, u32),
-    ) -> (i64, u32) {
-        let cand = u.0.wadd(v.0);
-        if cand < x.0 {
-            (cand, u.1)
-        } else {
-            x
-        }
-    }
-
-    #[inline(always)]
-    fn in_sigma(&self, _i: usize, _j: usize, _k: usize) -> bool {
-        true
-    }
-
-    #[inline(always)]
-    fn tau(&self, n: usize, _i: usize, _j: usize, l: i64) -> Option<usize> {
-        (l >= 0 && n > 0).then(|| (l as usize).min(n - 1))
-    }
-}
 
 impl gep_core::GepSpec for FwPredSpec {
     type Elem = (i64, u32);
@@ -176,23 +125,6 @@ pub fn distance_matrix<W: Weight>(n: usize, edges: &[(usize, usize, W)]) -> Matr
     m
 }
 
-/// Builds the initial `(dist, next)` matrix for [`FwPathSpec`].
-pub fn path_matrix(n: usize, edges: &[(usize, usize, i64)]) -> Matrix<(i64, u32)> {
-    let mut m = Matrix::from_fn(n, n, |i, j| {
-        if i == j {
-            (0i64, NO_NEXT)
-        } else {
-            (<i64 as Weight>::INFINITY, NO_NEXT)
-        }
-    });
-    for &(a, b, w) in edges {
-        if w < m[(a, b)].0 {
-            m[(a, b)] = (w, b as u32);
-        }
-    }
-    m
-}
-
 /// Builds the initial `(dist, pred)` matrix for [`FwPredSpec`].
 pub fn pred_matrix(n: usize, edges: &[(usize, usize, i64)]) -> Matrix<(i64, u32)> {
     let mut m = Matrix::from_fn(n, n, |i, j| {
@@ -234,27 +166,6 @@ pub fn extract_path_pred(
         assert!(path.len() <= solved.n(), "cycle in predecessor matrix");
     }
     path.reverse();
-    Some(path)
-}
-
-/// Extracts the vertex sequence of a shortest `src → dst` path from a
-/// solved [`FwPathSpec`] matrix, or `None` if unreachable.
-pub fn extract_path(solved: &Matrix<(i64, u32)>, src: usize, dst: usize) -> Option<Vec<usize>> {
-    if src == dst {
-        return Some(vec![src]);
-    }
-    if solved[(src, dst)].0 >= <i64 as Weight>::INFINITY {
-        return None;
-    }
-    let mut path = vec![src];
-    let mut cur = src;
-    while cur != dst {
-        let next = solved[(cur, dst)].1;
-        debug_assert_ne!(next, NO_NEXT, "finite distance but missing next hop");
-        cur = next as usize;
-        path.push(cur);
-        assert!(path.len() <= solved.n(), "cycle in successor matrix");
-    }
     Some(path)
 }
 
@@ -410,52 +321,37 @@ mod tests {
             (2, 3, 8),
             (3, 0, 4),
         ];
-        let mut m = path_matrix(4, &edges);
-        gep_core::igep_opt(&FwPathSpec, &mut m, 1);
+        let mut m = pred_matrix(4, &edges);
+        igep_opt(&FwPredSpec, &mut m, 1);
         // 0 -> 1 via 2: cost 5.
         assert_eq!(m[(0, 1)].0, 5);
-        assert_eq!(extract_path(&m, 0, 1), Some(vec![0, 2, 1]));
+        assert_eq!(extract_path_pred(&m, 0, 1), Some(vec![0, 2, 1]));
         // 0 -> 3 via 2,1: 2 + 3 + 1 = 6.
         assert_eq!(m[(0, 3)].0, 6);
-        assert_eq!(extract_path(&m, 0, 3), Some(vec![0, 2, 1, 3]));
+        assert_eq!(extract_path_pred(&m, 0, 3), Some(vec![0, 2, 1, 3]));
         // Self path.
-        assert_eq!(extract_path(&m, 2, 2), Some(vec![2]));
+        assert_eq!(extract_path_pred(&m, 2, 2), Some(vec![2]));
     }
 
+    /// Pred-spec distances equal the distance-only spec's, and every
+    /// reconstructed path walks to its destination with total weight
+    /// equal to the distance.
     #[test]
     fn path_spec_distances_match_distance_spec() {
         let n = 16;
-        let init_d = random_graph(n, 99);
-        let init_p = Matrix::from_fn(n, n, |i, j| {
-            let d = init_d[(i, j)];
-            (
-                d,
-                if i != j && d < <i64 as Weight>::INFINITY {
-                    j as u32
-                } else {
-                    NO_NEXT
-                },
-            )
-        });
-        let mut d = init_d.clone();
-        let mut p = init_p.clone();
-        apsp(&mut d, 4);
-        igep_opt(&FwPathSpec, &mut p, 4);
-        for i in 0..n {
-            for j in 0..n {
-                assert_eq!(p[(i, j)].0, d[(i, j)], "({i},{j})");
-            }
-        }
-        // Every finite path must walk to its destination with total weight
-        // equal to the distance.
-        for i in 0..n {
-            for j in 0..n {
-                if let Some(path) = extract_path(&p, i, j) {
-                    let mut total = 0i64;
-                    for win in path.windows(2) {
-                        total += init_d[(win[0], win[1])];
+        for seed in [99u64, 0xD0A1] {
+            let init_d = random_graph(n, seed);
+            let mut d = init_d.clone();
+            let mut p = pred_init(&init_d);
+            apsp(&mut d, 4);
+            igep_opt(&FwPredSpec, &mut p, 4);
+            for i in 0..n {
+                for j in 0..n {
+                    assert_eq!(p[(i, j)].0, d[(i, j)], "seed={seed} ({i},{j})");
+                    if let Some(path) = extract_path_pred(&p, i, j) {
+                        let total: i64 = path.windows(2).map(|w| init_d[(w[0], w[1])]).sum();
+                        assert_eq!(total, d[(i, j)], "seed={seed} path {i}->{j}");
                     }
-                    assert_eq!(total, p[(i, j)].0, "path {i}->{j}");
                 }
             }
         }
@@ -464,9 +360,9 @@ mod tests {
     #[test]
     fn unreachable_is_none() {
         // Two isolated vertices.
-        let mut m = path_matrix(2, &[]);
-        gep_core::igep_opt(&FwPathSpec, &mut m, 1);
-        assert_eq!(extract_path(&m, 0, 1), None);
+        let mut m = pred_matrix(2, &[]);
+        igep_opt(&FwPredSpec, &mut m, 1);
+        assert_eq!(extract_path_pred(&m, 0, 1), None);
     }
 
     /// Converts a distance matrix into the [`FwPredSpec`] initial state.
@@ -601,38 +497,6 @@ mod tests {
             assert_eq!(extract_path_pred(&m, 3, v), None, "3->{v} unreachable");
         }
         assert_eq!(extract_path_pred(&m, 3, 3), Some(vec![3]));
-    }
-
-    /// The successor and predecessor specs are duals: identical distances
-    /// and identical reconstructed path *weights* on the same input.
-    #[test]
-    fn pred_and_successor_specs_agree() {
-        let n = 16;
-        let init_d = random_graph(n, 0xD0A1);
-        let mut nxt = Matrix::from_fn(n, n, |i, j| {
-            let d = init_d[(i, j)];
-            if i != j && d < <i64 as Weight>::INFINITY {
-                (d, j as u32)
-            } else {
-                (d, NO_NEXT)
-            }
-        });
-        let mut prd = pred_init(&init_d);
-        igep_opt(&FwPathSpec, &mut nxt, 4);
-        igep_opt(&FwPredSpec, &mut prd, 4);
-        for i in 0..n {
-            for j in 0..n {
-                assert_eq!(prd[(i, j)].0, nxt[(i, j)].0, "({i},{j})");
-                let weigh = |path: Option<Vec<usize>>| {
-                    path.map(|p| p.windows(2).map(|w| init_d[(w[0], w[1])]).sum::<i64>())
-                };
-                assert_eq!(
-                    weigh(extract_path_pred(&prd, i, j)),
-                    weigh(extract_path(&nxt, i, j)),
-                    "path weight ({i},{j})"
-                );
-            }
-        }
     }
 
     #[test]

@@ -14,19 +14,20 @@
 //!   (`x ← x ⊖ u ⊗ w⁻¹ ⊗ v`, `Σ = {i > k ∧ j > k}`) over any
 //!   [`EliminationAlgebra`](gep_core::algebra::EliminationAlgebra):
 //!   bitsliced GF(2) block elimination, prime fields GF(p), the reals;
-//! * [`floyd_warshall`] — all-pairs shortest paths (min-plus, full `Σ`),
-//!   with optional successor or predecessor tracking for path
+//! * [`floyd_warshall`] — all-pairs shortest paths: [`FwSpec`] is the
+//!   min-plus closure, [`FwPredSpec`] adds predecessor tracking for path
 //!   reconstruction;
-//! * [`gaussian`] — Gaussian elimination without pivoting
-//!   (`Σ = {i > k ∧ j > k}`, `f = x − u·v/w`), plus triangular solves and
-//!   an end-to-end linear solver;
+//! * [`gaussian`] — Gaussian elimination without pivoting:
+//!   [`GaussianSpec`](type@GaussianSpec) is the elimination spec over the
+//!   reals, plus triangular solves and an end-to-end linear solver;
 //! * [`lu`] — LU decomposition without pivoting (multipliers stored
 //!   in-place, `Σ = {i > k ∧ j ≥ k}`);
 //! * [`matmul`] — matrix multiplication, both as the paper's GEP embedding
 //!   into a `2n × 2n` matrix and as the direct divide-and-conquer over
 //!   three matrices (the `D`-only recursion with maximal parallelism);
-//! * [`transitive_closure`] — Boolean transitive closure
-//!   (Warshall's algorithm);
+//! * [`transitive_closure`] — Boolean transitive closure (Warshall's
+//!   algorithm): [`TransitiveClosureSpec`](type@TransitiveClosureSpec) is
+//!   the closure over `(bool, ∨, ∧)`;
 //! * [`simple_dp`] — the parenthesis problem ("simple DP"), the paper's
 //!   cited non-GEP adaptation of the framework, with a polygon
 //!   triangulation instance;
@@ -45,7 +46,7 @@ pub mod transitive_closure;
 
 pub use closure::SemiringSpec;
 pub use elimination::ElimSpec;
-pub use floyd_warshall::{FwPathSpec, FwPredSpec, FwSpec, Weight};
+pub use floyd_warshall::{FwPredSpec, FwSpec, Weight};
 pub use gaussian::GaussianSpec;
 pub use lu::LuSpec;
 pub use matmul::MatMulEmbedSpec;

@@ -3,77 +3,23 @@
 //! `Σ` is the full set and `f(x, u, v, ·) = x ∨ (u ∧ v)`: vertex `j` is
 //! reachable from `i` if it already was, or if `k` is reachable from `i`
 //! and `j` from `k`. This is Floyd–Warshall over the Boolean semiring, so
-//! I-GEP is exact for it.
+//! I-GEP is exact for it. The spec is the generic closure over that
+//! semiring, [`SemiringSpec<OrAndBool>`](SemiringSpec):
+//! [`TransitiveClosureSpec`](type@TransitiveClosureSpec) names both that
+//! type and its value.
 
+use crate::closure::SemiringSpec;
 use gep_core::algebra::OrAndBool;
-use gep_core::{BoxShape, GepMat, GepSpec};
-use gep_kernels::AlgebraKernels;
 use gep_matrix::Matrix;
 
-/// Transitive closure over `bool` adjacency matrices.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct TransitiveClosureSpec;
+/// Transitive closure over `bool` adjacency matrices: the closure over
+/// `(bool, ∨, ∧)`.
+pub type TransitiveClosureSpec = SemiringSpec<OrAndBool>;
 
-impl GepSpec for TransitiveClosureSpec {
-    type Elem = bool;
-
-    #[inline(always)]
-    fn update(&self, _i: usize, _j: usize, _k: usize, x: bool, u: bool, v: bool, _w: bool) -> bool {
-        x || (u && v)
-    }
-
-    #[inline(always)]
-    fn in_sigma(&self, _i: usize, _j: usize, _k: usize) -> bool {
-        true
-    }
-
-    #[inline(always)]
-    fn tau(&self, n: usize, _i: usize, _j: usize, l: i64) -> Option<usize> {
-        (l >= 0 && n > 0).then(|| (l as usize).min(n - 1))
-    }
-
-    /// Row-sweep kernel: skips the inner loop entirely when `u` is false.
-    unsafe fn kernel(&self, m: GepMat<'_, bool>, xr: usize, xc: usize, kk: usize, s: usize) {
-        for k in kk..kk + s {
-            let vrow = m.row_ptr(k);
-            for i in xr..xr + s {
-                // u = c[i,k] is stable within this k-iteration: the only
-                // in-tile write to it is the j == k update, which computes
-                // x || (x && v) = x.
-                let u = m.get(i, k);
-                if !u {
-                    continue;
-                }
-                let xrow = m.row_ptr(i);
-                for j in xc..xc + s {
-                    if *vrow.add(j) {
-                        *xrow.add(j) = true;
-                    }
-                }
-            }
-        }
-    }
-
-    /// Routes the base case through the active backend's closure kernel
-    /// for the boolean semiring
-    /// ([`gep_kernels::AlgebraKernels::closure_kernel`] on [`OrAndBool`]
-    /// — wide byte-wise OR on disjoint boxes); the `Generic` backend
-    /// falls back to [`TransitiveClosureSpec::kernel`].
-    unsafe fn kernel_shaped(
-        &self,
-        m: GepMat<'_, bool>,
-        xr: usize,
-        xc: usize,
-        kk: usize,
-        s: usize,
-        shape: BoxShape,
-    ) {
-        match gep_kernels::dispatch().and_then(OrAndBool::closure_kernel) {
-            Some(kernel) => kernel(m, xr, xc, kk, s, shape),
-            None => self.kernel(m, xr, xc, kk, s),
-        }
-    }
-}
+/// The [`TransitiveClosureSpec`](type@TransitiveClosureSpec) value, so
+/// `&TransitiveClosureSpec` reads as a unit spec.
+#[allow(non_upper_case_globals)]
+pub const TransitiveClosureSpec: TransitiveClosureSpec = SemiringSpec::new();
 
 /// Computes the reflexive-transitive closure of an adjacency matrix in
 /// place (diagonal is set to `true` first), using optimised sequential

@@ -15,8 +15,13 @@
 //! Table 1 operand states for every spec on which I-GEP is exact (the same
 //! dependency argument as Figure 6, flattened to one level). Unlike I-GEP
 //! it must be re-tuned per machine — that asymmetry is the point of §2.3.
+//!
+//! Each tile runs the spec's shape-keyed base case
+//! ([`GepSpec::kernel_shaped`]), i.e. the same `gep-kernels` micro-kernels
+//! I-GEP's leaves use, so the comparison is one kernel set under two loop
+//! nests.
 
-use gep_core::{GepMat, GepSpec};
+use gep_core::{BoxShape, GepMat, GepSpec};
 use gep_matrix::Matrix;
 
 /// Runs cache-aware tiled GEP on `c` with square tiles of side `tile`.
@@ -45,31 +50,38 @@ where
                 (k0, k0 + tile - 1),
             )
         };
+        let shape = |r0: usize, c0: usize| BoxShape::classify(r0, c0, k0);
         // SAFETY: phases are sequential and each kernel call owns its
         // tile's writes; reads touch only tiles finalised (w.r.t. this
         // k-block) by earlier phases — the Figure 6 argument, one level.
+        // The A→B→C→D order also makes each shape truthful: phase A is
+        // the diagonal tile, B the k-row panel, C the k-column panel, and
+        // D only tiles whose rows and columns both miss the k-block.
         unsafe {
             // Phase A: diagonal tile.
             if in_box(k0, k0) {
-                spec.kernel(m, k0, k0, k0, tile);
+                spec.kernel_shaped(m, k0, k0, k0, tile, shape(k0, k0));
             }
             // Phase B: the k-row of tiles.
             for jb in 0..blocks {
-                if jb != kb && in_box(k0, jb * tile) {
-                    spec.kernel(m, k0, jb * tile, k0, tile);
+                let c0 = jb * tile;
+                if jb != kb && in_box(k0, c0) {
+                    spec.kernel_shaped(m, k0, c0, k0, tile, shape(k0, c0));
                 }
             }
             // Phase C: the k-column of tiles.
             for ib in 0..blocks {
-                if ib != kb && in_box(ib * tile, k0) {
-                    spec.kernel(m, ib * tile, k0, k0, tile);
+                let r0 = ib * tile;
+                if ib != kb && in_box(r0, k0) {
+                    spec.kernel_shaped(m, r0, k0, k0, tile, shape(r0, k0));
                 }
             }
             // Phase D: everything else.
             for ib in 0..blocks {
                 for jb in 0..blocks {
-                    if ib != kb && jb != kb && in_box(ib * tile, jb * tile) {
-                        spec.kernel(m, ib * tile, jb * tile, k0, tile);
+                    let (r0, c0) = (ib * tile, jb * tile);
+                    if ib != kb && jb != kb && in_box(r0, c0) {
+                        spec.kernel_shaped(m, r0, c0, k0, tile, shape(r0, c0));
                     }
                 }
             }

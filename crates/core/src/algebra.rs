@@ -135,12 +135,15 @@ impl EliminationAlgebra for PlusTimesF64 {
     fn inv(a: f64) -> Option<f64> {
         (a != 0.0).then(|| 1.0 / a)
     }
-    /// `x - u * (v / w)`: the same operation order as the historical
-    /// Gaussian-elimination spec and the `gep-kernels` GE sweeps, so
-    /// engine results stay *bitwise* comparable with them.
+    /// `x - u * v / w`, i.e. `x - ((u·v)/w)`: the literal Figure 1
+    /// update, which every store-based engine (G, I-GEP, C-GEP, the
+    /// cache-simulated and out-of-core stores) applies per cell. The
+    /// `gep-kernels` GE tiles and the generic `ElimSpec` kernel hoist the
+    /// multiplier and compute `(u/w)·v` instead, which rounds differently
+    /// — their results agree with this one to rounding, not bitwise.
     #[inline(always)]
     fn eliminate(x: f64, u: f64, v: f64, w: f64) -> f64 {
-        x - u * (v / w)
+        x - u * v / w
     }
 }
 

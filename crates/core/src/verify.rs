@@ -25,9 +25,11 @@ use std::fmt;
 use std::sync::Mutex;
 
 /// A spec wrapper that records every applied update, usable from
-/// multithreaded engines (the log is a mutex, and record order is never
-/// relied upon — records are keyed by `⟨i,j,k⟩`, which Theorem 2.1
-/// guarantees is applied at most once per engine run).
+/// multithreaded engines. The log is a mutex: under a sequential engine
+/// it holds the updates in application order (which [`crate::trace`]'s
+/// theorem checks rely on); across threads the order is arbitrary, so
+/// this module keys records by `⟨i,j,k⟩`, which Theorem 2.1 guarantees is
+/// applied at most once per engine run.
 ///
 /// `kernel` is deliberately *not* forwarded: optimised app kernels bypass
 /// [`GepSpec::update`], so tracing always routes through the generic

@@ -28,7 +28,7 @@
 //! `NaN`/`±Infinity` land as the deterministic sentinel strings rather
 //! than `null`; v3 adds the optional `histograms` object serializing
 //! [`crate::hist::Histogram`] (log-bucketed latency distributions).
-//! [`validate`] accepts all three versions.
+//! [`validate`] accepts v2 and v3; v1 files are rejected.
 //!
 //! Rows are flat objects of scalars; each experiment chooses its own
 //! columns. [`validate`] enforces the envelope (not the per-experiment
@@ -42,8 +42,9 @@ use std::path::{Path, PathBuf};
 /// Current schema version, written to every new file.
 pub const SCHEMA_VERSION: i64 = 3;
 
-/// Oldest schema version [`validate`] still accepts (pre-`gauges` files).
-pub const MIN_SCHEMA_VERSION: i64 = 1;
+/// Oldest schema version [`validate`] still accepts (pre-`histograms`
+/// files).
+pub const MIN_SCHEMA_VERSION: i64 = 2;
 
 /// Builder for one `BENCH_<experiment>.json` document.
 #[derive(Clone, Debug)]
@@ -387,7 +388,7 @@ mod tests {
             (
                 "rows not objects",
                 Json::obj(vec![
-                    ("schema_version", Json::Int(1)),
+                    ("schema_version", Json::Int(2)),
                     ("experiment", Json::Str("x".into())),
                     ("title", Json::Str("t".into())),
                     ("quick", Json::Bool(false)),
@@ -397,7 +398,7 @@ mod tests {
             (
                 "nested row value",
                 Json::obj(vec![
-                    ("schema_version", Json::Int(1)),
+                    ("schema_version", Json::Int(2)),
                     ("experiment", Json::Str("x".into())),
                     ("title", Json::Str("t".into())),
                     ("quick", Json::Bool(false)),
@@ -503,9 +504,9 @@ mod tests {
     }
 
     #[test]
-    fn v1_documents_still_validate() {
-        // Files emitted before the gauges field (schema_version 1) must
-        // keep passing `repro validate` so old baselines stay comparable.
+    fn v1_documents_are_rejected() {
+        // Version 1 (before the gauges field) was only ever written by
+        // this repository, and no committed file uses it any more.
         let v1 = Json::obj(vec![
             ("schema_version", Json::Int(1)),
             ("experiment", Json::Str("fig8".into())),
@@ -516,7 +517,8 @@ mod tests {
                 Json::Arr(vec![Json::obj(vec![("n", Json::Int(64))])]),
             ),
         ]);
-        validate(&v1).expect("v1 envelope must stay valid");
+        let err = validate(&v1).expect_err("v1 envelope must be rejected");
+        assert!(err.contains("schema_version 1"), "{err}");
     }
 
     #[test]

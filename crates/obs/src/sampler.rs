@@ -36,8 +36,8 @@
 //! slow-request log emits one per over-threshold request via
 //! [`flight_event`] — without waiting for the next sampling tick.
 //! Counters are integers, gauges go through [`Json::from_f64`] so
-//! non-finite values survive as sentinel strings. Version-1 files
-//! (samples only) remain readable.
+//! non-finite values survive as sentinel strings. The reader accepts
+//! version 2 only.
 
 use crate::json::Json;
 use std::collections::{BTreeMap, VecDeque};
@@ -49,9 +49,6 @@ use std::time::{Duration, Instant};
 
 /// Flight-recorder file format version, written into the header line.
 pub const FLIGHT_SCHEMA_VERSION: i64 = 2;
-
-/// Oldest file format version [`read_flight_file`] still accepts.
-pub const FLIGHT_MIN_SCHEMA_VERSION: i64 = 1;
 
 /// The `kind` tag of the header line.
 pub const FLIGHT_KIND: &str = "gep-flight-recorder";
@@ -363,7 +360,7 @@ pub fn read_flight_file(path: &Path) -> Result<FlightLog, String> {
         return Err(format!("not a {FLIGHT_KIND} file"));
     }
     match header.get("schema_version").and_then(Json::as_i64) {
-        Some(v) if (FLIGHT_MIN_SCHEMA_VERSION..=FLIGHT_SCHEMA_VERSION).contains(&v) => {}
+        Some(FLIGHT_SCHEMA_VERSION) => {}
         Some(v) => return Err(format!("unsupported flight schema_version {v}")),
         None => return Err("missing integer schema_version".into()),
     }
@@ -568,7 +565,7 @@ mod tests {
     }
 
     #[test]
-    fn reader_accepts_version_1_files_without_events() {
+    fn reader_rejects_version_1_files() {
         let path = tmp("v1.jsonl");
         std::fs::write(
             &path,
@@ -578,10 +575,8 @@ mod tests {
             ),
         )
         .unwrap();
-        let log = read_flight_file(&path).expect("v1 parses");
-        assert_eq!(log.samples.len(), 1);
-        assert!(log.events.is_empty());
-        assert_eq!(log.gauge(0, "g"), Some(4.0));
+        let err = read_flight_file(&path).expect_err("v1 is rejected");
+        assert_eq!(err, "unsupported flight schema_version 1");
         let _ = std::fs::remove_file(path);
     }
 

@@ -1,12 +1,12 @@
 //! A realistic APSP workload: all-pairs shortest paths with route
 //! reconstruction on a synthetic road network (grid with highways),
-//! solved by cache-oblivious I-GEP with the path-tracking spec.
+//! solved by cache-oblivious I-GEP with the predecessor-tracking spec.
 //!
 //! ```text
 //! cargo run -p gep --release --example road_network_apsp
 //! ```
 
-use gep::apps::floyd_warshall::{extract_path, path_matrix};
+use gep::apps::floyd_warshall::{extract_path_pred, pred_matrix, FwPredSpec, NO_PRED};
 use gep::core::igep_opt;
 use gep::matrix::next_pow2;
 
@@ -59,22 +59,22 @@ fn main() {
     let (n, edges) = road_network(side);
     println!("road network: {n} junctions, {} road segments", edges.len());
 
-    // Build the (dist, next-hop) matrix, pad to a power of two, solve.
-    let m = path_matrix(n, &edges);
-    let mut padded = m.padded((i64::MAX / 4, u32::MAX));
+    // Build the (dist, predecessor) matrix, pad to a power of two, solve.
+    let m = pred_matrix(n, &edges);
+    let mut padded = m.padded((i64::MAX / 4, NO_PRED));
     println!(
         "padded to {} x {} for the recursion",
         padded.n(),
         padded.n()
     );
     assert_eq!(padded.n(), next_pow2(n));
-    igep_opt(&gep::apps::FwPathSpec, &mut padded, 32);
+    igep_opt(&FwPredSpec, &mut padded, 32);
 
     // Route queries with reconstruction.
     let from = 0; // top-left corner
     let to = n - 1; // bottom-right corner
     let dist = padded[(from, to)].0;
-    let route = extract_path(&padded, from, to).expect("network is connected");
+    let route = extract_path_pred(&padded, from, to).expect("network is connected");
     println!(
         "fastest {from} -> {to}: cost {dist}, {} hops",
         route.len() - 1

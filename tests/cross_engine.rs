@@ -151,6 +151,45 @@ fn gaussian_all_engines() {
     }
 }
 
+/// Pins the f64 rounding order of the GE update: the store-based engines
+/// apply `f` per cell, so on `GaussianSpec` they must equal a literal
+/// Figure 1 loop computing `x - u * v / w` bit for bit. Any change to the
+/// operation order (say `x - u * (v / w)`) rounds differently and fails
+/// here, where the `approx_eq` checks above would not notice.
+#[test]
+fn gaussian_update_order_is_bitwise_figure_1() {
+    for n in [8usize, 32] {
+        let mut rng = xorshift(n as u64 * 0x6E);
+        let mut input = Matrix::from_fn(n, n, |_, _| (rng() % 1000) as f64 / 1000.0 - 0.5);
+        for i in 0..n {
+            input[(i, i)] = n as f64 + 2.0;
+        }
+        let mut want = input.clone();
+        for k in 0..n {
+            for i in k + 1..n {
+                for j in k + 1..n {
+                    let (x, u, v, w) = (want[(i, j)], want[(i, k)], want[(k, j)], want[(k, k)]);
+                    want[(i, j)] = x - u * v / w;
+                }
+            }
+        }
+        let bits = |m: &Matrix<f64>| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let want = bits(&want);
+
+        let mut m = input.clone();
+        gep_iterative(&GaussianSpec, &mut m);
+        assert_eq!(bits(&m), want, "gep_iterative n={n}");
+        for base in [1usize, 4] {
+            let mut m = input.clone();
+            igep(&GaussianSpec, &mut m, base);
+            assert_eq!(bits(&m), want, "igep base={base} n={n}");
+            let mut m = input.clone();
+            cgep_full(&GaussianSpec, &mut m, base);
+            assert_eq!(bits(&m), want, "cgep_full base={base} n={n}");
+        }
+    }
+}
+
 #[test]
 fn lu_all_engines() {
     for n in [2usize, 8, 32] {

@@ -195,7 +195,7 @@ proptest! {
     /// and distances agree with Dijkstra.
     #[test]
     fn fw_paths_are_valid_walks(q in 1usize..=4, seed in any::<u64>()) {
-        use gep::apps::floyd_warshall::{extract_path, FwPathSpec, NO_NEXT};
+        use gep::apps::floyd_warshall::{extract_path_pred, FwPredSpec, NO_PRED};
         let n = 1usize << q;
         let mut s = seed | 1;
         let dist = Matrix::from_fn(n, n, |i, j| {
@@ -206,16 +206,16 @@ proptest! {
         });
         let init = Matrix::from_fn(n, n, |i, j| {
             let d = dist[(i, j)];
-            (d, if i != j && d < <i64 as Weight>::INFINITY { j as u32 } else { NO_NEXT })
+            (d, if i != j && d < <i64 as Weight>::INFINITY { i as u32 } else { NO_PRED })
         });
         let mut solved = init.clone();
-        igep_opt(&FwPathSpec, &mut solved, 4);
+        igep_opt(&FwPredSpec, &mut solved, 4);
         for src in 0..n {
             let dj = reference::dijkstra_reference(&dist, src);
             for v in 0..n {
                 prop_assert_eq!(solved[(src, v)].0.min(<i64 as Weight>::INFINITY),
                                 dj[v].min(<i64 as Weight>::INFINITY), "dist {} {}", src, v);
-                if let Some(path) = extract_path(&solved, src, v) {
+                if let Some(path) = extract_path_pred(&solved, src, v) {
                     let mut total = 0i64;
                     for w in path.windows(2) {
                         prop_assert!(dist[(w[0], w[1])] < <i64 as Weight>::INFINITY);
