@@ -10,6 +10,10 @@
 //! * `kernel_compare/disjoint_box` — the raw `C −= A·B` panel on one
 //!   64×64 fully disjoint box, the shape where ~all FLOPs live (the
 //!   acceptance target: best f64 kernel ≥ 2× the scalar loop here).
+//! * `kernel_compare/ge_disjoint_leaf_ld2048` — one 64-side GE
+//!   `Disjoint` leaf inside a 2048 × 2048 matrix, per available backend:
+//!   at that power-of-two row stride every row of an unpacked B strip
+//!   maps to the same L1 sets, which the packed f64 tiles avoid.
 //!
 //! The machine-readable GFLOP/s table (`BENCH_kernels.json`) comes from
 //! `repro tune --json`, which sweeps the same grid.
@@ -19,9 +23,10 @@ use gep_apps::floyd_warshall::FwSpec;
 use gep_apps::matmul::matmul;
 use gep_apps::{GaussianSpec, LuSpec, TransitiveClosureSpec};
 use gep_bench::workloads::{dd_matrix, random_dist_matrix, rnd_matrix, XorShift};
+use gep_core::abcd::generic_kernel;
 use gep_core::algebra::PlusTimesF64;
-use gep_core::igep_opt;
-use gep_kernels::{detect_best, kernel_set, set_backend_override, Backend};
+use gep_core::{igep_opt, BoxShape, GepMat};
+use gep_kernels::{available_backends, detect_best, kernel_set, set_backend_override, Backend};
 use gep_matrix::Matrix;
 use std::hint::black_box;
 
@@ -141,9 +146,41 @@ fn bench_disjoint_box(c: &mut Criterion) {
     g.finish();
 }
 
+/// One base-size GE `Disjoint` leaf at row stride 2048, per backend.
+fn bench_strided_ge_leaf(c: &mut Criterion) {
+    let (n, s) = (2048usize, BASE);
+    // Pruning puts a disjoint GE box below and right of its pivot block.
+    let (xr, xc, kk) = (n / 2, n / 2 + s, n / 4);
+    let mut m = dd_matrix(n, 3061);
+
+    let mut g = c.benchmark_group("kernel_compare/ge_disjoint_leaf_ld2048");
+    g.sample_size(20);
+    // 2 flops per update; the u/w division is not counted.
+    g.throughput(Throughput::Elements(2 * (s * s * s) as u64));
+    for backend in available_backends() {
+        g.bench_function(BenchmarkId::new("ge", backend.name()), |bch| {
+            bch.iter(|| {
+                // SAFETY: `m` is exclusively borrowed for the call, the
+                // box and its panels lie inside it, and the box is
+                // disjoint from its panels as `BoxShape::Disjoint` says.
+                unsafe {
+                    let h = GepMat::new(&mut m);
+                    match kernel_set(backend) {
+                        Some(set) => (set.f64_ge)(h, xr, xc, kk, s, BoxShape::Disjoint),
+                        None => generic_kernel(&GaussianSpec, h, xr, xc, kk, s),
+                    }
+                }
+                black_box(m[(xr, xc)])
+            })
+        });
+    }
+    g.finish();
+}
+
 fn bench(c: &mut Criterion) {
     bench_apps(c);
     bench_disjoint_box(c);
+    bench_strided_ge_leaf(c);
 }
 
 criterion_group!(benches, bench);

@@ -1,14 +1,16 @@
 //! AVX2/FMA backend: explicit `std::arch` micro-tile kernels for the
 //! disjoint (GEMM-like) box, plus 256-bit re-instantiations of the shared
-//! sweeps for the aliasing shapes.
+//! sweeps for the aliasing shapes. The f64 and i64 register tiles are
+//! written once, as the [`f64_tile!`] and [`fw_i64_leaf!`] macros, and
+//! instantiated here for `ymm` and in the AVX-512 module for `zmm`.
 //!
-//! Rounding discipline: the f64 multiply-accumulate panels use *fused*
-//! operations everywhere — `_mm256_fmadd_pd`/`_mm256_fnmadd_pd` in the
-//! 4×8 register tile and `f64::mul_add` in the scalar edge paths — so a
-//! given `(i, j, k)` update produces bit-identical results no matter which
-//! path its cell lands on. The sweeps stay unfused (`x ± u·v` is never
-//! contracted by rustc), matching the portable backend bit-for-bit on
-//! non-disjoint boxes.
+//! Rounding discipline: the f64 multiply-accumulate tiles use *fused*
+//! operations everywhere — `fmadd`/`fnmadd` in the vector lanes and
+//! `f64::mul_add` in the scalar edge cells — so a given `(i, j, k)`
+//! update produces bit-identical results no matter which path, or which
+//! of the two instances, its cell lands on. The sweeps stay unfused
+//! (`x ± u·v` is never contracted by rustc), matching the portable
+//! backend bit-for-bit on non-disjoint boxes.
 //!
 //! `#[target_feature]` functions cannot coerce to the plain `unsafe fn`
 //! pointers the [`crate::KernelSet`] vtable holds, so every vtable entry
@@ -26,38 +28,142 @@ use gep_core::algebra::{MinPlusI64, UpdateAlgebra, TROPICAL_INF};
 use gep_core::{BoxShape, GepMat};
 
 // ---------------------------------------------------------------------
-// f64 multiply-accumulate panels (the FLOP hot path)
+// f64 multiply-accumulate tiles (the FLOP hot path)
 // ---------------------------------------------------------------------
 
-/// Fused scalar cell: `*c ← *c + u·v` over the k-column, one rounding per
-/// update (identical to the fmadd lanes of the vector path).
+/// Fused scalar cell: `*c ← *c + a[k]·b[k·ldb]` over the k-column (with
+/// `SUB`, `(−a[k])·b[k·ldb] + *c`, exactly what `fnmadd` computes per
+/// lane), k ascending, one rounding per update: the edge path of
+/// [`f64_tile!`], bitwise equal to its vector lanes.
+///
+/// # Safety
+/// `c`, `a[..kd]` and `b[k·ldb]` for `k < kd` are valid.
 #[inline(always)]
-unsafe fn cell_acc(c: *mut f64, arow: *const f64, bcol: *const f64, ldb: usize, kd: usize) {
+pub(crate) unsafe fn f64_cell<const SUB: bool>(
+    c: *mut f64,
+    a: *const f64,
+    b: *const f64,
+    ldb: usize,
+    kd: usize,
+) {
     let mut x = *c;
     for k in 0..kd {
-        x = (*arow.add(k)).mul_add(*bcol.add(k * ldb), x);
+        let u = if SUB { -*a.add(k) } else { *a.add(k) };
+        x = u.mul_add(*b.add(k * ldb), x);
     }
     *c = x;
 }
 
-/// Fused scalar cell for the subtracting panel: `(−u)·v + x` is exactly
-/// what `_mm256_fnmadd_pd` computes per lane.
-#[inline(always)]
-unsafe fn cell_sub(c: *mut f64, arow: *const f64, bcol: *const f64, ldb: usize, kd: usize) {
-    let mut x = *c;
-    for k in 0..kd {
-        x = (-*arow.add(k)).mul_add(*bcol.add(k * ldb), x);
-    }
-    *c = x;
-}
+/// The f64 multiply-accumulate leaves of a vector backend, shared by the
+/// AVX2 and AVX-512 modules: defines the vtable entries `pub unsafe fn
+/// ge`, `lu`, `mm_acc` and `mm_sub`.
+///
+/// All four run one register tile, `f64_strip`: 4 rows × `NV` vectors of
+/// C in registers, k innermost, one fused `fmadd` (or `fnmadd`) per
+/// update. The `kc × NV·LANES` strip of B a tile column reads is first
+/// copied to a contiguous stack buffer, per `F64_KC` chunk of k: in
+/// place, its rows sit one matrix row apart, which for power-of-two
+/// sides maps them all to the same L1 sets. Columns are covered by
+/// strips of `F64_NV` vectors, then of one vector, then by the fused
+/// scalar [`f64_cell`]; the last `mi mod 4` rows also run the cell.
+///
+/// Gaussian elimination first forms the `u/w` factor panel of up to
+/// `F64_MC` rows × `F64_KC` k on the stack: the pivots `c[k,k]` are
+/// gathered into a contiguous buffer so the division can run as a vector
+/// `div`, which is IEEE division per lane and so bitwise the scalar `/`.
+///
+/// Every cell sees its updates in ascending k with one rounding each,
+/// whatever the tile width, chunking or edge path, so every instance
+/// gives bitwise the same result. Nothing allocates. The invoking module
+/// supplies the vector type through `LANES`, `F64_NV` and
+/// `fload`/`fstore`/`fsplat`/`fmadd`/`fnmadd`/`fdiv`, and brings this
+/// module's `F64_KC` and `F64_MC` into scope.
+macro_rules! f64_tile {
+    ($feature:literal) => {
+        /// Copies the `kc × W` block at `b` (row stride `ldb`) to `bp`
+        /// (row stride `W`).
+        ///
+        /// # Safety
+        /// Both blocks are valid and do not overlap; the host supports
+        /// the instance's target features (as for every fn below).
+        #[inline]
+        #[target_feature(enable = $feature)]
+        unsafe fn f64_pack<const W: usize>(b: *const f64, ldb: usize, kc: usize, bp: *mut f64) {
+            for k in 0..kc {
+                std::ptr::copy_nonoverlapping(b.add(k * ldb), bp.add(k * W), W);
+            }
+        }
 
-macro_rules! mm_panel {
-    ($name:ident, $vfma:ident, $cell:ident) => {
-        /// Register-blocked panel: 4 rows × 8 columns of C held in eight
-        /// ymm accumulators, k innermost (one broadcast of `a[i,k]`, two
-        /// loads of `b[k, j..j+8]` per step).
-        #[target_feature(enable = "avx2", enable = "fma")]
-        unsafe fn $name(
+        /// `C[..mi, ..NV·LANES] ±= A[..mi, ..kc] · Bp`, with `Bp` the
+        /// packed `kc × NV·LANES` strip.
+        ///
+        /// # Safety
+        /// `C` (row stride `ldc`), `A` (row stride `lda`) and `Bp` are
+        /// valid, and `C` overlaps neither.
+        #[inline]
+        #[target_feature(enable = $feature)]
+        unsafe fn f64_strip<const NV: usize, const SUB: bool>(
+            c: *mut f64,
+            ldc: usize,
+            a: *const f64,
+            lda: usize,
+            bp: *const f64,
+            mi: usize,
+            kc: usize,
+        ) {
+            let w = NV * LANES;
+            let mut i = 0usize;
+            while i + 4 <= mi {
+                let mut acc = [[fsplat(0.0); NV]; 4];
+                for (r, row) in acc.iter_mut().enumerate() {
+                    for (v, x) in row.iter_mut().enumerate() {
+                        *x = fload(c.add((i + r) * ldc + v * LANES));
+                    }
+                }
+                for k in 0..kc {
+                    let mut bv = [fsplat(0.0); NV];
+                    for (v, x) in bv.iter_mut().enumerate() {
+                        *x = fload(bp.add(k * w + v * LANES));
+                    }
+                    for (r, row) in acc.iter_mut().enumerate() {
+                        let u = fsplat(*a.add((i + r) * lda + k));
+                        for (x, &b) in row.iter_mut().zip(bv.iter()) {
+                            *x = if SUB {
+                                fnmadd(u, b, *x)
+                            } else {
+                                fmadd(u, b, *x)
+                            };
+                        }
+                    }
+                }
+                for (r, row) in acc.iter().enumerate() {
+                    for (v, &x) in row.iter().enumerate() {
+                        fstore(c.add((i + r) * ldc + v * LANES), x);
+                    }
+                }
+                i += 4;
+            }
+            while i < mi {
+                for j in 0..w {
+                    $crate::avx2::f64_cell::<SUB>(
+                        c.add(i * ldc + j),
+                        a.add(i * lda),
+                        bp.add(j),
+                        w,
+                        kc,
+                    );
+                }
+                i += 1;
+            }
+        }
+
+        /// `C ← C ± A·B` over `mi × nj`, k chunked by `F64_KC`.
+        ///
+        /// # Safety
+        /// As [`crate::TilePanel`]: the three blocks are valid and `C`
+        /// overlaps neither `A` nor `B`.
+        #[target_feature(enable = $feature)]
+        unsafe fn f64_mm<const SUB: bool>(
             c: *mut f64,
             ldc: usize,
             a: *const f64,
@@ -68,155 +174,241 @@ macro_rules! mm_panel {
             nj: usize,
             kd: usize,
         ) {
-            let mut i = 0usize;
-            while i + 4 <= mi {
-                let r0 = c.add(i * ldc);
-                let r1 = c.add((i + 1) * ldc);
-                let r2 = c.add((i + 2) * ldc);
-                let r3 = c.add((i + 3) * ldc);
-                let a0 = a.add(i * lda);
-                let a1 = a.add((i + 1) * lda);
-                let a2 = a.add((i + 2) * lda);
-                let a3 = a.add((i + 3) * lda);
+            const NR: usize = F64_NV * LANES;
+            let mut bp = [0.0f64; F64_KC * NR];
+            let bp = bp.as_mut_ptr();
+            let mut k0 = 0usize;
+            while k0 < kd {
+                let kc = (kd - k0).min(F64_KC);
+                let (ak, bk) = (a.add(k0), b.add(k0 * ldb));
                 let mut j = 0usize;
-                while j + 8 <= nj {
-                    let mut c00 = _mm256_loadu_pd(r0.add(j));
-                    let mut c01 = _mm256_loadu_pd(r0.add(j + 4));
-                    let mut c10 = _mm256_loadu_pd(r1.add(j));
-                    let mut c11 = _mm256_loadu_pd(r1.add(j + 4));
-                    let mut c20 = _mm256_loadu_pd(r2.add(j));
-                    let mut c21 = _mm256_loadu_pd(r2.add(j + 4));
-                    let mut c30 = _mm256_loadu_pd(r3.add(j));
-                    let mut c31 = _mm256_loadu_pd(r3.add(j + 4));
-                    for k in 0..kd {
-                        let brow = b.add(k * ldb + j);
-                        let bv0 = _mm256_loadu_pd(brow);
-                        let bv1 = _mm256_loadu_pd(brow.add(4));
-                        let u0 = _mm256_set1_pd(*a0.add(k));
-                        c00 = $vfma(u0, bv0, c00);
-                        c01 = $vfma(u0, bv1, c01);
-                        let u1 = _mm256_set1_pd(*a1.add(k));
-                        c10 = $vfma(u1, bv0, c10);
-                        c11 = $vfma(u1, bv1, c11);
-                        let u2 = _mm256_set1_pd(*a2.add(k));
-                        c20 = $vfma(u2, bv0, c20);
-                        c21 = $vfma(u2, bv1, c21);
-                        let u3 = _mm256_set1_pd(*a3.add(k));
-                        c30 = $vfma(u3, bv0, c30);
-                        c31 = $vfma(u3, bv1, c31);
+                while j + NR <= nj {
+                    f64_pack::<NR>(bk.add(j), ldb, kc, bp);
+                    f64_strip::<F64_NV, SUB>(c.add(j), ldc, ak, lda, bp, mi, kc);
+                    j += NR;
+                }
+                while j + LANES <= nj {
+                    f64_pack::<LANES>(bk.add(j), ldb, kc, bp);
+                    f64_strip::<1, SUB>(c.add(j), ldc, ak, lda, bp, mi, kc);
+                    j += LANES;
+                }
+                for i in 0..mi {
+                    for jj in j..nj {
+                        $crate::avx2::f64_cell::<SUB>(
+                            c.add(i * ldc + jj),
+                            ak.add(i * lda),
+                            bk.add(jj),
+                            ldb,
+                            kc,
+                        );
                     }
-                    _mm256_storeu_pd(r0.add(j), c00);
-                    _mm256_storeu_pd(r0.add(j + 4), c01);
-                    _mm256_storeu_pd(r1.add(j), c10);
-                    _mm256_storeu_pd(r1.add(j + 4), c11);
-                    _mm256_storeu_pd(r2.add(j), c20);
-                    _mm256_storeu_pd(r2.add(j + 4), c21);
-                    _mm256_storeu_pd(r3.add(j), c30);
-                    _mm256_storeu_pd(r3.add(j + 4), c31);
-                    j += 8;
                 }
-                while j < nj {
-                    $cell(r0.add(j), a0, b.add(j), ldb, kd);
-                    $cell(r1.add(j), a1, b.add(j), ldb, kd);
-                    $cell(r2.add(j), a2, b.add(j), ldb, kd);
-                    $cell(r3.add(j), a3, b.add(j), ldb, kd);
-                    j += 1;
-                }
-                i += 4;
+                k0 += kc;
             }
-            while i < mi {
-                let r = c.add(i * ldc);
-                let ar = a.add(i * lda);
-                for j in 0..nj {
-                    $cell(r.add(j), ar, b.add(j), ldb, kd);
+        }
+
+        /// `C ← C − (A / diag W)·B`: the Gaussian disjoint leaf, with `w`
+        /// the first pivot and `ws` the pivot stride.
+        ///
+        /// # Safety
+        /// As `f64_mm`, and `w[k·ws]` is valid for every `k < kd`.
+        #[target_feature(enable = $feature)]
+        unsafe fn f64_ge_tile(
+            c: *mut f64,
+            ldc: usize,
+            a: *const f64,
+            lda: usize,
+            b: *const f64,
+            ldb: usize,
+            w: *const f64,
+            ws: usize,
+            mi: usize,
+            nj: usize,
+            kd: usize,
+        ) {
+            let mut piv = [0.0f64; F64_KC];
+            let mut fac = [0.0f64; F64_MC * F64_KC];
+            let mut k0 = 0usize;
+            while k0 < kd {
+                let kc = (kd - k0).min(F64_KC);
+                for (k, p) in piv[..kc].iter_mut().enumerate() {
+                    *p = *w.add((k0 + k) * ws);
                 }
-                i += 1;
+                let mut i0 = 0usize;
+                while i0 < mi {
+                    let rows = (mi - i0).min(F64_MC);
+                    for r in 0..rows {
+                        let arow = a.add((i0 + r) * lda + k0);
+                        let frow = fac.as_mut_ptr().add(r * F64_KC);
+                        let mut k = 0usize;
+                        while k + LANES <= kc {
+                            fstore(
+                                frow.add(k),
+                                fdiv(fload(arow.add(k)), fload(piv.as_ptr().add(k))),
+                            );
+                            k += LANES;
+                        }
+                        while k < kc {
+                            *frow.add(k) = *arow.add(k) / piv[k];
+                            k += 1;
+                        }
+                    }
+                    f64_mm::<true>(
+                        c.add(i0 * ldc),
+                        ldc,
+                        fac.as_ptr(),
+                        F64_KC,
+                        b.add(k0 * ldb),
+                        ldb,
+                        rows,
+                        nj,
+                        kc,
+                    );
+                    i0 += rows;
+                }
+                k0 += kc;
             }
+        }
+
+        pub unsafe fn ge(
+            m: GepMat<'_, f64>,
+            xr: usize,
+            xc: usize,
+            kk: usize,
+            s: usize,
+            shape: BoxShape,
+        ) {
+            match shape {
+                // Pruning guarantees xr > kk and xc > kk here, so the
+                // whole box is inside Σ and U/V/W are all outside X: a
+                // pure GEMM-like tile.
+                BoxShape::Disjoint => {
+                    let ld = m.n();
+                    f64_ge_tile(
+                        m.row_ptr(xr).add(xc),
+                        ld,
+                        m.row_ptr(xr).add(kk),
+                        ld,
+                        m.row_ptr(kk).add(xc),
+                        ld,
+                        m.row_ptr(kk).add(kk),
+                        ld + 1,
+                        s,
+                        s,
+                        s,
+                    )
+                }
+                _ => $crate::avx2::ge_sweep_tf(m, xr, xc, kk, s),
+            }
+        }
+
+        pub unsafe fn lu(
+            m: GepMat<'_, f64>,
+            xr: usize,
+            xc: usize,
+            kk: usize,
+            s: usize,
+            shape: BoxShape,
+        ) {
+            match shape {
+                // Disjoint ⇒ xc > kk: column k is outside the tile, the
+                // multipliers in c[xr.., kk..] are already formed, and
+                // every update is the pure `x − u·v`.
+                BoxShape::Disjoint => {
+                    let ld = m.n();
+                    f64_mm::<true>(
+                        m.row_ptr(xr).add(xc),
+                        ld,
+                        m.row_ptr(xr).add(kk),
+                        ld,
+                        m.row_ptr(kk).add(xc),
+                        ld,
+                        s,
+                        s,
+                        s,
+                    )
+                }
+                _ => $crate::avx2::lu_sweep_tf(m, xr, xc, kk, s),
+            }
+        }
+
+        pub unsafe fn mm_acc(
+            c: *mut f64,
+            ldc: usize,
+            a: *const f64,
+            lda: usize,
+            b: *const f64,
+            ldb: usize,
+            mi: usize,
+            nj: usize,
+            kd: usize,
+        ) {
+            f64_mm::<false>(c, ldc, a, lda, b, ldb, mi, nj, kd)
+        }
+
+        pub unsafe fn mm_sub(
+            c: *mut f64,
+            ldc: usize,
+            a: *const f64,
+            lda: usize,
+            b: *const f64,
+            ldb: usize,
+            mi: usize,
+            nj: usize,
+            kd: usize,
+        ) {
+            f64_mm::<true>(c, ldc, a, lda, b, ldb, mi, nj, kd)
         }
     };
 }
 
-mm_panel!(mm_acc_inner, _mm256_fmadd_pd, cell_acc);
-mm_panel!(mm_sub_inner, _mm256_fnmadd_pd, cell_sub);
+/// Columns per f64 tile: 4 rows × 2 `ymm` vectors (8 of the 16 registers
+/// accumulate).
+const F64_NV: usize = 2;
 
-pub unsafe fn mm_acc(
-    c: *mut f64,
-    ldc: usize,
-    a: *const f64,
-    lda: usize,
-    b: *const f64,
-    ldb: usize,
-    mi: usize,
-    nj: usize,
-    kd: usize,
-) {
-    mm_acc_inner(c, ldc, a, lda, b, ldb, mi, nj, kd)
+/// k-chunk of the f64 tiles' packed B strip (4 KiB on AVX2, 16 KiB on
+/// AVX-512) and of the Gaussian factor panel, both backends.
+pub(crate) const F64_KC: usize = 64;
+/// Rows of the Gaussian factor panel, both backends (32 KiB).
+pub(crate) const F64_MC: usize = 64;
+
+#[inline]
+#[target_feature(enable = "avx2")]
+unsafe fn fload(p: *const f64) -> __m256d {
+    _mm256_loadu_pd(p)
 }
 
-pub unsafe fn mm_sub(
-    c: *mut f64,
-    ldc: usize,
-    a: *const f64,
-    lda: usize,
-    b: *const f64,
-    ldb: usize,
-    mi: usize,
-    nj: usize,
-    kd: usize,
-) {
-    mm_sub_inner(c, ldc, a, lda, b, ldb, mi, nj, kd)
+#[inline]
+#[target_feature(enable = "avx2")]
+unsafe fn fstore(p: *mut f64, v: __m256d) {
+    _mm256_storeu_pd(p, v)
 }
 
-// ---------------------------------------------------------------------
-// Gaussian disjoint-box panel: precompute u/w factor strips, then FNMA
-// ---------------------------------------------------------------------
+#[inline]
+#[target_feature(enable = "avx2")]
+unsafe fn fsplat(x: f64) -> __m256d {
+    _mm256_set1_pd(x)
+}
 
-/// k-chunk length of the factor strip (4 rows × 128 k = 4 KiB of stack).
-const GE_KC: usize = 128;
-
+#[inline]
 #[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn ge_panel_inner(
-    c: *mut f64,
-    ldc: usize,
-    a: *const f64,
-    lda: usize,
-    b: *const f64,
-    ldb: usize,
-    w: *const f64,
-    ws: usize,
-    mi: usize,
-    nj: usize,
-    kd: usize,
-) {
-    let mut fbuf = [0.0f64; 4 * GE_KC];
-    let mut i = 0usize;
-    while i < mi {
-        let rows = (mi - i).min(4);
-        let mut k0 = 0usize;
-        while k0 < kd {
-            let kc = (kd - k0).min(GE_KC);
-            for r in 0..rows {
-                let arow = a.add((i + r) * lda + k0);
-                for k in 0..kc {
-                    fbuf[r * GE_KC + k] = *arow.add(k) / *w.add((k0 + k) * ws);
-                }
-            }
-            mm_sub_inner(
-                c.add(i * ldc),
-                ldc,
-                fbuf.as_ptr(),
-                GE_KC,
-                b.add(k0 * ldb),
-                ldb,
-                rows,
-                nj,
-                kc,
-            );
-            k0 += kc;
-        }
-        i += rows;
-    }
+unsafe fn fmadd(a: __m256d, b: __m256d, c: __m256d) -> __m256d {
+    _mm256_fmadd_pd(a, b, c)
 }
+
+#[inline]
+#[target_feature(enable = "avx2", enable = "fma")]
+unsafe fn fnmadd(a: __m256d, b: __m256d, c: __m256d) -> __m256d {
+    _mm256_fnmadd_pd(a, b, c)
+}
+
+#[inline]
+#[target_feature(enable = "avx2")]
+unsafe fn fdiv(a: __m256d, b: __m256d) -> __m256d {
+    _mm256_div_pd(a, b)
+}
+
+f64_tile!("avx2,fma");
 
 // ---------------------------------------------------------------------
 // Floyd–Warshall min-plus panels
@@ -287,7 +479,7 @@ pub(crate) unsafe fn fw_i64_cell(c: *mut i64, a: *const i64, b: *const i64, ldb:
 /// otherwise the leaf runs the saturating [`fw_i64_saturating`].
 ///
 /// The tile computes `C ← min(C, A ⊗ B)` with 4 rows × 2 vectors of C in
-/// registers and k innermost, like [`mm_panel!`]; each C cell is clamped
+/// registers and k innermost, like [`f64_tile!`]; each C cell is clamped
 /// to `TROPICAL_INF` on load, after which every update is one add and
 /// one min. The `FW_KC × 2·LANES` strip of B a tile column reads is
 /// first copied to a contiguous stack buffer: in place, its rows sit one
@@ -609,12 +801,12 @@ unsafe fn tc_panel_inner(
 // ---------------------------------------------------------------------
 
 #[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn ge_sweep_tf(m: GepMat<'_, f64>, xr: usize, xc: usize, kk: usize, s: usize) {
+pub(crate) unsafe fn ge_sweep_tf(m: GepMat<'_, f64>, xr: usize, xc: usize, kk: usize, s: usize) {
     sweeps::ge_sweep(m, xr, xc, kk, s)
 }
 
 #[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn lu_sweep_tf(m: GepMat<'_, f64>, xr: usize, xc: usize, kk: usize, s: usize) {
+pub(crate) unsafe fn lu_sweep_tf(m: GepMat<'_, f64>, xr: usize, xc: usize, kk: usize, s: usize) {
     sweeps::lu_sweep(m, xr, xc, kk, s)
 }
 
@@ -636,53 +828,6 @@ unsafe fn tc_sweep_tf(m: GepMat<'_, bool>, xr: usize, xc: usize, kk: usize, s: u
 // ---------------------------------------------------------------------
 // Shaped entry points (the KernelSet vtable)
 // ---------------------------------------------------------------------
-
-pub unsafe fn ge(m: GepMat<'_, f64>, xr: usize, xc: usize, kk: usize, s: usize, shape: BoxShape) {
-    match shape {
-        // Pruning guarantees xr > kk and xc > kk here, so the whole box is
-        // inside Σ and U/V/W are all outside X: a pure GEMM-like panel.
-        BoxShape::Disjoint => {
-            let ld = m.n();
-            ge_panel_inner(
-                m.row_ptr(xr).add(xc),
-                ld,
-                m.row_ptr(xr).add(kk),
-                ld,
-                m.row_ptr(kk).add(xc),
-                ld,
-                m.row_ptr(kk).add(kk),
-                ld + 1,
-                s,
-                s,
-                s,
-            )
-        }
-        _ => ge_sweep_tf(m, xr, xc, kk, s),
-    }
-}
-
-pub unsafe fn lu(m: GepMat<'_, f64>, xr: usize, xc: usize, kk: usize, s: usize, shape: BoxShape) {
-    match shape {
-        // Disjoint ⇒ xc > kk: column k is outside the tile, the
-        // multipliers in c[xr.., kk..] are already formed, and every
-        // update is the pure `x − u·v`.
-        BoxShape::Disjoint => {
-            let ld = m.n();
-            mm_sub_inner(
-                m.row_ptr(xr).add(xc),
-                ld,
-                m.row_ptr(xr).add(kk),
-                ld,
-                m.row_ptr(kk).add(xc),
-                ld,
-                s,
-                s,
-                s,
-            )
-        }
-        _ => lu_sweep_tf(m, xr, xc, kk, s),
-    }
-}
 
 pub unsafe fn fw_f64(
     m: GepMat<'_, f64>,

@@ -14,8 +14,9 @@
 //!   baseline, no runtime feature check needed).
 //! * [`Backend::Avx2`] — explicit 256-bit AVX2 + FMA kernels, selected
 //!   only when `is_x86_feature_detected!` confirms host support.
-//! * [`Backend::Avx512`] — the AVX2 set with an AVX-512F i64
-//!   Floyd–Warshall kernel (`vpminsq`), selected only when
+//! * [`Backend::Avx512`] — the AVX2 set with 8-lane AVX-512F tiles for
+//!   the i64 Floyd–Warshall leaf (`vpminsq`) and the f64 GE, LU and
+//!   matmul leaves (bitwise equal to AVX2's), selected only when
 //!   `is_x86_feature_detected!` confirms `avx512f`, `avx2` and `fma`.
 //!
 //! [`Backend::Generic`] is the fifth choice: no kernel set at all
@@ -127,7 +128,9 @@ impl Backend {
                 std::arch::is_x86_feature_detected!("avx2")
                     && std::arch::is_x86_feature_detected!("fma")
             }
-            // Reuses every AVX2 entry but `i64_fw`.
+            // Reuses every AVX2 entry but `i64_fw` and the f64 GE, LU
+            // and matmul ones, whose aliasing shapes still run the AVX2
+            // sweeps.
             #[cfg(target_arch = "x86_64")]
             Backend::Avx512 => {
                 Backend::Avx2.is_supported() && std::arch::is_x86_feature_detected!("avx512f")
@@ -366,7 +369,11 @@ static AVX2_SET: KernelSet = KernelSet {
 #[cfg(target_arch = "x86_64")]
 static AVX512_SET: KernelSet = KernelSet {
     backend: Backend::Avx512,
+    f64_ge: avx512::ge,
+    f64_lu: avx512::lu,
     i64_fw: avx512::fw_i64,
+    f64_mm_acc: avx512::mm_acc,
+    f64_mm_sub: avx512::mm_sub,
     ..AVX2_SET
 };
 
@@ -979,9 +986,10 @@ mod tests {
         }
     }
 
-    /// Sides around the 4-row, 8-column (AVX2) and 16-column (AVX-512)
-    /// register tiles, so every tile remainder and scalar edge runs; 65
-    /// also splits the tiles' k loop and exceeds the packed sweep's limit.
+    /// Sides around the i64 Floyd–Warshall register tiles, 4 rows × 8
+    /// (AVX2) or 16 (AVX-512) columns, so every tile remainder and scalar
+    /// edge runs; 65 also splits the tiles' k loop and exceeds the packed
+    /// sweep's limit. The f64 tiles have their own list, [`F64_SIDES`].
     const FW_SIDES: [usize; 13] = [1, 3, 4, 7, 8, 9, 15, 16, 17, 24, 33, 64, 65];
 
     /// The i64 Floyd–Warshall leaf in each of its regimes, on every
@@ -1052,6 +1060,81 @@ mod tests {
                         }
                         assert_eq!(got, want, "{ctx}");
                     }
+                }
+            }
+        }
+    }
+
+    /// Sides around the f64 tiles: 4 rows × 8 (AVX2) or 32 (AVX-512)
+    /// columns, with one-vector strips and scalar cells at the column
+    /// edge; 65 and 128 also split the tiles' 64-long k chunk.
+    const F64_SIDES: [usize; 18] = [
+        1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65, 128,
+    ];
+
+    fn assert_bits_eq(got: &Matrix<f64>, want: &Matrix<f64>, ctx: &str) {
+        let bits = |m: &Matrix<f64>| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert!(bits(got) == bits(want), "{ctx}: not bitwise equal");
+    }
+
+    /// The AVX-512 f64 tiles apply the AVX2 tiles' fused updates in the
+    /// same per-cell order, so every f64 entry agrees bit for bit on
+    /// every shape and side.
+    #[test]
+    fn avx512_f64_kernels_bitwise_equal_avx2() {
+        if !Backend::Avx512.is_supported() {
+            eprintln!("skipping avx512_f64_kernels_bitwise_equal_avx2: avx512f not detected");
+            return;
+        }
+        let (v2, v512) = (
+            kernel_set(Backend::Avx2).unwrap(),
+            kernel_set(Backend::Avx512).unwrap(),
+        );
+        for &s in &F64_SIDES {
+            let n = 2 * s;
+            for (xr, xc, kk, shape) in shapes(s) {
+                for (what, k2, k512) in [
+                    ("ge", v2.f64_ge, v512.f64_ge),
+                    ("lu", v2.f64_lu, v512.f64_lu),
+                ] {
+                    let init = f64_matrix(n, 0x6E ^ s as u64);
+                    let (mut want, mut got) = (init.clone(), init);
+                    // SAFETY: each handle exclusively borrows its own
+                    // matrix, and the box and its panels lie inside it.
+                    unsafe {
+                        k2(GepMat::new(&mut want), xr, xc, kk, s, shape);
+                        k512(GepMat::new(&mut got), xr, xc, kk, s, shape);
+                    }
+                    assert_bits_eq(&got, &want, &format!("{what} s={s} {shape:?}"));
+                }
+            }
+            // Panels: square, and with every dimension off the tile grid.
+            for (mi, nj, kd) in [(s, s, s), (s + 3, 2 * s + 1, 2 * s + 5)] {
+                let n = mi.max(nj).max(kd);
+                let a = f64_matrix(n, 0xA ^ s as u64);
+                let b = f64_matrix(n, 0xB ^ s as u64);
+                for sub in [false, true] {
+                    let init = f64_matrix(n, 0xC ^ s as u64);
+                    let (mut want, mut got) = (init.clone(), init);
+                    for (set, m) in [(v2, &mut want), (v512, &mut got)] {
+                        let panel = if sub { set.f64_mm_sub } else { set.f64_mm_acc };
+                        // SAFETY: all three are n × n with n ≥ mi, nj, kd,
+                        // and C is a separate matrix from A and B.
+                        unsafe {
+                            panel(
+                                m.as_mut_slice().as_mut_ptr(),
+                                n,
+                                a.as_slice().as_ptr(),
+                                n,
+                                b.as_slice().as_ptr(),
+                                n,
+                                mi,
+                                nj,
+                                kd,
+                            )
+                        };
+                    }
+                    assert_bits_eq(&got, &want, &format!("mm sub={sub} {mi}x{nj}x{kd}"));
                 }
             }
         }

@@ -355,6 +355,70 @@ fn odd_sides_single_box_matches_g() {
     }
 }
 
+fn f64_bits(m: &Matrix<f64>) -> Vec<u64> {
+    m.as_slice().iter().map(|x| x.to_bits()).collect()
+}
+
+/// The AVX-512 f64 tiles apply the AVX2 tiles' fused updates in the same
+/// per-cell order, so whole GE, LU and matmul solves agree bit for bit at
+/// every power-of-two base up to `min(n, 128)`. The odd side runs as one
+/// base case (its matmul as one box of the `2n` embedding).
+#[test]
+fn avx512_f64_solves_bitwise_equal_avx2() {
+    if !Backend::Avx512.is_supported() {
+        eprintln!("skipping avx512_f64_solves_bitwise_equal_avx2: avx512f not detected");
+        return;
+    }
+    let _g = lock();
+    for n in [1usize, 7, 64, 256] {
+        let ge = dd_f64(n, 0x51 + n as u64);
+        let lu = dd_f64(n, 0x52 + n as u64);
+        let mut rng = xorshift(0x53 + n as u64);
+        let a = Matrix::from_fn(n, n, |_, _| (rng() % 200) as f64 / 100.0 - 1.0);
+        let b = Matrix::from_fn(n, n, |_, _| (rng() % 200) as f64 / 100.0 - 1.0);
+        let solves = |backend: Backend, base: Option<usize>| -> Vec<Vec<u64>> {
+            let Some(base) = base else {
+                let emb = Matrix::from_fn(2 * n, 2 * n, |i, j| match (i < n, j < n) {
+                    (true, false) => b[(i, j - n)],
+                    (false, true) => a[(i - n, j)],
+                    _ => 0.0,
+                });
+                return vec![
+                    f64_bits(&single_box_with(&GaussianSpec, &ge, backend)),
+                    f64_bits(&single_box_with(&LuSpec, &lu, backend)),
+                    f64_bits(&single_box_with(
+                        &MatMulEmbedSpec::<PlusTimesF64>::new(n),
+                        &emb,
+                        backend,
+                    )),
+                ];
+            };
+            set_backend_override(Some(backend));
+            let mm = matmul::<PlusTimesF64>(&a, &b, base);
+            set_backend_override(None);
+            vec![
+                f64_bits(&igep_with(&GaussianSpec, &ge, base, backend)),
+                f64_bits(&igep_with(&LuSpec, &lu, base, backend)),
+                f64_bits(&mm),
+            ]
+        };
+        let bases: Vec<Option<usize>> = if n.is_power_of_two() {
+            (0..=n.min(128).ilog2()).map(|p| Some(1 << p)).collect()
+        } else {
+            vec![None]
+        };
+        for base in bases {
+            let (want, got) = (solves(Backend::Avx2, base), solves(Backend::Avx512, base));
+            for (what, (w, g)) in ["GE", "LU", "MM"].iter().zip(want.iter().zip(&got)) {
+                assert!(
+                    w == g,
+                    "{what} avx512 vs avx2 n={n} base={base:?}: not bitwise equal"
+                );
+            }
+        }
+    }
+}
+
 /// Acceptance criterion: on power-of-two full-Σ runs of the five
 /// kernel-backed applications nothing falls back to the generic scalar
 /// base case, and the dispatch counter names the selected backend.
